@@ -41,7 +41,7 @@ int main() {
     // Deterministic fallible backend over the job table: an attempt fails
     // with probability p, burning a random fraction of the job's cost.
     Rng failRng(7);
-    const al::FallibleRowOracle oracle = [&](std::size_t row) {
+    const al::Oracle oracle = [&](std::size_t row) {
       if (p > 0.0 && failRng.bernoulli(p)) {
         return Measurement::failed(problem.cost[row] *
                                    failRng.uniformReal(0.05, 0.95));

@@ -26,11 +26,15 @@
 //       Paired Variance-Reduction vs Cost-Efficiency comparison with the
 //       cost-error crossover report (the paper's Fig. 8b as a tool).
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "alperf.hpp"
@@ -69,6 +73,28 @@ Args parse(int argc, char** argv) {
     args.options[key.substr(2)] = value;
   }
   return args;
+}
+
+/// Integer option `--name`, or `fallback` when absent. The whole value
+/// must be a base-10 integer no smaller than `lo`: trailing garbage, a
+/// missing value and out-of-range numbers throw an error naming the flag.
+template <class T>
+T intOption(const Args& args, const std::string& name, T fallback,
+            T lo = std::numeric_limits<T>::min()) {
+  if (!args.has(name)) return fallback;
+  const std::string& text = args.options.at(name);
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc() && end == text.data() + text.size() && value >= lo)
+    return value;
+  std::string expected = "an integer";
+  if (lo != std::numeric_limits<T>::min())
+    expected += " >= " + std::to_string(lo);
+  else if (std::is_unsigned_v<T>)
+    expected = "a non-negative integer";
+  throw std::invalid_argument("--" + name + " expects " + expected +
+                              ", got '" + text + "'");
 }
 
 std::vector<std::string> splitCsvList(const std::string& s) {
@@ -127,9 +153,8 @@ int cmdGenerate(const Args& args) {
   const std::string out = args.get("out", "");
   if (out.empty()) throw std::invalid_argument("generate needs --out DIR");
   cl::DatasetConfig cfg;
-  cfg.targetJobs = static_cast<std::size_t>(
-      std::stoul(args.get("jobs", "3246")));
-  cfg.seed = std::stoull(args.get("seed", "42"));
+  cfg.targetJobs = intOption<std::size_t>(args, "jobs", 3246, 1);
+  cfg.seed = intOption<std::uint64_t>(args, "seed", 42);
   std::printf("generating %zu-job campaign (seed %llu)...\n", cfg.targetJobs,
               static_cast<unsigned long long>(cfg.seed));
   const auto ds = cl::DatasetGenerator(cfg).generate();
@@ -143,22 +168,23 @@ int cmdGenerate(const Args& args) {
 }
 
 int cmdLearn(const Args& args) {
-  const auto problem = loadProblem(args);
-  std::printf("loaded %zu jobs, %zu features\n", problem.size(),
-              problem.dim());
-
   al::AlConfig cfg;
-  cfg.maxIterations = std::stoi(args.get("iterations", "50"));
+  cfg.maxIterations = intOption<int>(args, "iterations", 50, 0);
   cfg.amsdWindow = 8;
   cfg.amsdRelTol = 0.01;
   // Pool posterior cache A/B switch (results are bit-identical either
   // way; --no-pool-cache shows the uncached cost in --perf).
   cfg.poolPredictCache = !args.has("no-pool-cache");
-  // Asynchronous dispatch width: N > 1 runs up to N measurements
-  // concurrently through al::AsyncDispatcher, selecting against a fantasy
-  // posterior. The default 1 is the synchronous engine, bit-identical to
-  // previous releases.
-  cfg.execution.maxInFlight = std::stoi(args.get("in-flight", "1"));
+  // Dispatch width: N > 1 runs up to N measurements concurrently through
+  // al::AsyncDispatcher, selecting against a fantasy posterior. The
+  // default 1 commits each pick before selecting the next.
+  cfg.execution.maxInFlight = intOption<int>(args, "in-flight", 1);
+  try {
+    cfg.execution.validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("--in-flight: " + std::string(e.what()));
+  }
+  const std::uint64_t seed = intOption<std::uint64_t>(args, "seed", 7);
   // --trace dispatches on extension: .json = structured Chrome trace
   // (armed for the campaign via AlConfig::tracePath), else learning-trace
   // CSV after the run.
@@ -167,9 +193,12 @@ int cmdLearn(const Args& args) {
       tracePath.size() >= 5 &&
       tracePath.compare(tracePath.size() - 5, 5, ".json") == 0;
   if (chromeTrace) cfg.tracePath = tracePath;
+  const auto problem = loadProblem(args);
+  std::printf("loaded %zu jobs, %zu features\n", problem.size(),
+              problem.dim());
   al::ActiveLearner learner(problem, makePrototype(args, problem.dim()),
                             makeStrategy(args.get("strategy", "ce")), cfg);
-  Rng rng(std::stoull(args.get("seed", "7")));
+  Rng rng(seed);
   alperf::PerfRegistry::instance().reset();
   alperf::HealthMonitor::instance().reset();
   const auto result = learner.run(rng);
@@ -235,16 +264,16 @@ int cmdLearn(const Args& args) {
 }
 
 int cmdTradeoff(const Args& args) {
-  const auto problem = loadProblem(args);
+  al::BatchConfig cfg;
+  cfg.replicates = intOption<int>(args, "replicates", 10, 1);
+  cfg.seed = intOption<std::uint64_t>(args, "seed", 7);
+  cfg.al.refitEvery = 3;
   if (!args.has("cost"))
     throw std::invalid_argument("tradeoff needs --cost COLUMN");
+  const auto problem = loadProblem(args);
   std::printf("loaded %zu jobs; paired VR vs CE comparison\n",
               problem.size());
 
-  al::BatchConfig cfg;
-  cfg.replicates = std::stoi(args.get("replicates", "10"));
-  cfg.seed = std::stoull(args.get("seed", "7"));
-  cfg.al.refitEvery = 3;
   const auto results = al::runPairedBatch(
       problem, makePrototype(args, problem.dim()),
       {[] { return std::make_unique<al::VarianceReduction>(); },

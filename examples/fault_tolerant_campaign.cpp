@@ -56,7 +56,7 @@ int main() {
   //    Censored with a lower bound; the executor layer retries, charges
   //    waste, and quarantines hopeless rows.
   std::uint64_t jobSeed = 1000;
-  const al::FallibleRowOracle oracle = [&](std::size_t row) {
+  const al::Oracle oracle = [&](std::size_t row) {
     Measurement m = cl::measureJob(cluster, model, requests[row], ++jobSeed);
     if (m.usable()) m.y = std::log10(m.y);  // model log-runtime
     return m;

@@ -1,6 +1,9 @@
 #include "core/checkpoint.hpp"
 
+#include <cctype>
 #include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -43,12 +46,112 @@ double parseDouble(const std::string& s) {
 std::uint64_t parseWord(const std::string& s) {
   char* end = nullptr;
   const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-  requireArg(end != s.c_str() && *end == '\0',
+  // strtoull would accept (and wrap) a leading sign.
+  requireArg(!s.empty() && std::isdigit(static_cast<unsigned char>(s[0])) &&
+                 *end == '\0',
              "loadCheckpoint: bad integer '" + s + "'");
   return v;
 }
 
+/// Largest row index a double column holds exactly (2^53).
+constexpr double kMaxRowIndex = 9007199254740992.0;
+
+/// One cell of an index column, checked before it is cast: NaN/Inf,
+/// negative, fractional and out-of-range values are rejected with an
+/// error naming the source, the column and the 1-based row.
+double indexCell(std::span<const double> column, std::size_t i, double max,
+                 const std::string& source, const std::string& name) {
+  const double v = column[i];
+  if (!(std::isfinite(v) && v >= 0.0 && v <= max && std::floor(v) == v))
+    throw std::invalid_argument(
+        source + ": column '" + name + "', row " + std::to_string(i + 1) +
+        ": expected a non-negative integer, got " + fmtDouble(v));
+  return v;
+}
+
 }  // namespace
+
+data::Table historyToTable(const AlResult& result) {
+  return historyToTable(std::span<const IterationRecord>(result.history));
+}
+
+data::Table historyToTable(std::span<const IterationRecord> history) {
+  const std::size_t n = history.size();
+  std::vector<double> iteration(n), chosen(n), sigma(n), mu(n), amsd(n),
+      rmse(n), pickCost(n), cumCost(n), noiseVar(n), lml(n), failed(n),
+      wasted(n), censored(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& rec = history[i];
+    iteration[i] = rec.iteration;
+    chosen[i] = static_cast<double>(rec.chosenRow);
+    sigma[i] = rec.sigmaAtPick;
+    mu[i] = rec.muAtPick;
+    amsd[i] = rec.amsd;
+    rmse[i] = rec.rmse;
+    pickCost[i] = rec.pickCost;
+    cumCost[i] = rec.cumulativeCost;
+    noiseVar[i] = rec.noiseVariance;
+    lml[i] = rec.lml;
+    failed[i] = rec.failedAttempts;
+    wasted[i] = rec.wastedCost;
+    censored[i] = rec.censored;
+  }
+  data::Table t;
+  t.addNumeric("Iteration", std::move(iteration));
+  t.addNumeric("ChosenRow", std::move(chosen));
+  t.addNumeric("SigmaAtPick", std::move(sigma));
+  t.addNumeric("MuAtPick", std::move(mu));
+  t.addNumeric("AMSD", std::move(amsd));
+  t.addNumeric("RMSE", std::move(rmse));
+  t.addNumeric("PickCost", std::move(pickCost));
+  t.addNumeric("CumulativeCost", std::move(cumCost));
+  t.addNumeric("NoiseVariance", std::move(noiseVar));
+  t.addNumeric("LML", std::move(lml));
+  t.addNumeric("FailedAttempts", std::move(failed));
+  t.addNumeric("WastedCost", std::move(wasted));
+  t.addNumeric("Censored", std::move(censored));
+  return t;
+}
+
+std::vector<IterationRecord> historyFromTable(const data::Table& table,
+                                              const std::string& source) {
+  const std::size_t n = table.numRows();
+  std::vector<IterationRecord> history(n);
+  const auto fill = [&](const std::string& name,
+                        double IterationRecord::* field, bool required) {
+    if (!table.hasColumn(name)) {
+      requireArg(!required, source + ": missing column '" + name + "'");
+      return;
+    }
+    const auto col = table.numeric(name);
+    for (std::size_t i = 0; i < n; ++i) history[i].*field = col[i];
+  };
+  requireArg(table.hasColumn("Iteration") && table.hasColumn("ChosenRow"),
+             source + ": not a learning-trace table");
+  const auto iter = table.numeric("Iteration");
+  const auto chosen = table.numeric("ChosenRow");
+  for (std::size_t i = 0; i < n; ++i) {
+    history[i].iteration =
+        static_cast<int>(indexCell(iter, i, INT_MAX, source, "Iteration"));
+    history[i].chosenRow = static_cast<std::size_t>(
+        indexCell(chosen, i, kMaxRowIndex, source, "ChosenRow"));
+  }
+  fill("SigmaAtPick", &IterationRecord::sigmaAtPick, true);
+  fill("MuAtPick", &IterationRecord::muAtPick, true);
+  fill("AMSD", &IterationRecord::amsd, true);
+  fill("RMSE", &IterationRecord::rmse, true);
+  fill("PickCost", &IterationRecord::pickCost, true);
+  fill("CumulativeCost", &IterationRecord::cumulativeCost, true);
+  fill("NoiseVariance", &IterationRecord::noiseVariance, true);
+  fill("LML", &IterationRecord::lml, true);
+  // Fault columns are absent in traces archived before the fault-tolerant
+  // execution layer existed.
+  fill("FailedAttempts", &IterationRecord::failedAttempts, false);
+  fill("WastedCost", &IterationRecord::wastedCost, false);
+  fill("Censored", &IterationRecord::censored, false);
+  return history;
+}
+
 
 void saveCheckpoint(const Checkpoint& checkpoint, const std::string& prefix) {
   requireArg(checkpoint.hasRngState,
@@ -151,7 +254,8 @@ Checkpoint loadCheckpoint(const std::string& prefix) {
   // iteration records LML = -inf), so the load-time NaN/Inf guard is
   // relaxed for this one file; .meta.csv and .sets.csv stay strict.
   cp.history = historyFromTable(
-      data::readCsv(prefix + ".trace.csv", {.rejectNonFinite = false}));
+      data::readCsv(prefix + ".trace.csv", {.rejectNonFinite = false}),
+      prefix + ".trace.csv");
 
   // --- sets.
   const data::Table sets = data::readCsv(prefix + ".sets.csv");
@@ -162,7 +266,8 @@ Checkpoint loadCheckpoint(const std::string& prefix) {
   const auto rowIdx = sets.numeric("Row");
   const auto response = sets.numeric("Y");
   for (std::size_t i = 0; i < sets.numRows(); ++i) {
-    const auto row = static_cast<std::size_t>(rowIdx[i]);
+    const auto row = static_cast<std::size_t>(
+        indexCell(rowIdx, i, kMaxRowIndex, prefix + ".sets.csv", "Row"));
     const std::string& name = setName[i];
     if (name == "initial") {
       cp.partition.initial.push_back(row);

@@ -34,7 +34,9 @@ void saveCheckpoint(const Checkpoint& checkpoint, const std::string& prefix);
 
 /// Reads a checkpoint previously written by saveCheckpoint. Throws
 /// std::runtime_error on missing files and std::invalid_argument on
-/// malformed or version-incompatible content.
+/// malformed or version-incompatible content — including an index cell
+/// (trace Iteration/ChosenRow, sets Row) that is NaN, negative or
+/// fractional, reported with the file, column and 1-based row.
 Checkpoint loadCheckpoint(const std::string& prefix);
 
 }  // namespace alperf::al

@@ -196,175 +196,6 @@ bool refitGrownWithFallback(gp::GaussianProcess& gp,
   return false;
 }
 
-/// The asynchronous continuous loop — `config.execution.maxInFlight > 1`.
-/// Same structure as ActiveLearner::runLoopAsync (learner.cpp): suggest
-/// against a fantasy posterior conditioned on pending points at their
-/// predictive means, dispatch through AsyncDispatcher, commit in
-/// suggestion order; the real GP update (with the full degradation
-/// ladder) happens at commit time, so records and fits stay
-/// slot-count-independent. On a stop condition the pipeline is drained —
-/// already-running measurements are committed and recorded.
-ContinuousAlResult runContinuousAlAsync(
-    gp::GaussianProcess gp, la::Matrix seedX, la::Vector seedY,
-    const opt::BoxBounds& bounds, const Oracle& oracle,
-    const ExecutionConfig& exec, const AcquisitionFn& acq,
-    const ContinuousAlConfig& config, stats::Rng& rng) {
-  // The seed fit is a precondition, not a campaign step (as in the
-  // synchronous loop).
-  FaultContext::setIteration(-1);
-  gp.config().optimize = true;
-  gp.fit(std::move(seedX), std::move(seedY), rng);
-
-  ContinuousAlResult result{.history = {}, .finalGp = gp};
-  AsyncDispatcher dispatcher(oracle, exec);
-
-  /// One in-flight suggestion: its location, the constant-liar value the
-  /// fantasy was conditioned on, and the submit-time record fields.
-  struct PendingPick {
-    std::vector<double> x;
-    double liar = 0.0;
-    ContinuousAlRecord rec;
-  };
-  std::deque<PendingPick> pending;
-
-  gp::GaussianProcess fantasy = gp;
-  bool fantasyStale = false;  // fantasy == gp right now
-  std::vector<double> lastGoodTheta = gp.thetaFull();
-  int consecutiveFailures = 0;
-  int consecutiveDegraded = 0;
-  int committed = 0;
-  std::optional<StopReason> stop;
-  const auto loopStart = std::chrono::steady_clock::now();
-
-  const auto rebuildFantasy = [&] {
-    fantasy = gp;
-    for (const auto& p : pending) {
-      try {
-        fantasy.addObservation(p.x, p.liar);
-      } catch (const NumericalError&) {
-        // Degraded main model: suggest without the remaining pending
-        // extensions rather than aborting the campaign.
-        HealthMonitor::instance().record(
-            "fantasy.extend",
-            "fantasy extension failed; suggesting without pending points");
-        break;
-      }
-    }
-    fantasyStale = false;
-  };
-
-  while (true) {
-    // SUBMIT phase: keep the pipeline full while no stop condition holds.
-    if (!stop && !dispatcher.full()) {
-      const int s = committed + static_cast<int>(pending.size());
-      if (s >= config.iterations) {
-        stop = StopReason::MaxIterations;
-        continue;
-      }
-      // Ambient fault/trace iteration: best-effort under async — slot
-      // threads observe the most recently submitted index.
-      FaultContext::setIteration(s);
-      trace::Span roundSpan("al.round");
-      roundSpan.note("iter", s)
-          .note("n", gp.numTrainPoints())
-          .note("inflight", pending.size());
-      if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        loopStart)
-              .count() > config.wallClockBudgetSec) {
-        HealthMonitor::instance().record("watchdog",
-                                         "wall-clock budget exhausted");
-        stop = StopReason::WatchdogExpired;
-        continue;
-      }
-      if (fantasyStale) rebuildFantasy();
-      const auto suggestion =
-          suggestContinuous(fantasy, bounds, acq, config.nStarts, rng);
-
-      PendingPick p;
-      p.x = suggestion.x;
-      p.liar = suggestion.mean;
-      p.rec.x = suggestion.x;
-      p.rec.sdAtPick = suggestion.sd;
-      p.rec.acquisition = suggestion.acquisition;
-      dispatcher.submit(AsyncDispatcher::kNoRow, p.x);
-      try {
-        fantasy.addObservation(p.x, p.liar);
-      } catch (const NumericalError&) {
-        HealthMonitor::instance().record(
-            "fantasy.extend",
-            "fantasy extension failed; suggesting without pending points");
-      }
-      pending.push_back(std::move(p));
-      continue;
-    }
-
-    // COMMIT phase: retire the oldest in-flight suggestion.
-    if (pending.empty()) break;
-    const AsyncDispatcher::Committed job = dispatcher.commitNext();
-    PendingPick p = std::move(pending.front());
-    pending.pop_front();
-    const ExecutionResult& er = job.result;
-
-    ContinuousAlRecord rec = std::move(p.rec);
-    rec.wastedCost = er.wastedCost;
-    result.wastedCost += er.wastedCost;
-    ++committed;
-
-    if (er.quarantined) {
-      rec.measured = false;
-      rec.failedAttempts = er.attempts;
-      result.history.push_back(std::move(rec));
-      // The fantasy conditioned on a point that never produced data.
-      fantasyStale = true;
-      if (++consecutiveFailures >= config.maxConsecutiveFailures && !stop)
-        stop = StopReason::OracleExhausted;
-      continue;
-    }
-    consecutiveFailures = 0;
-    rec.y = er.measurement.y;
-    rec.failedAttempts = er.attempts - 1;
-    if (er.measurement.status == MeasurementStatus::Censored)
-      rec.censored = 1.0;
-    result.history.push_back(std::move(rec));
-
-    // Real observation into the main GP — same refit cadence and
-    // degradation ladder as the synchronous loop, keyed to the commit
-    // count (== the synchronous iter+1 when every suggestion measures).
-    bool healthy;
-    if (committed % config.refitEvery == 0) {
-      healthy = refitGrownWithFallback(
-          gp, p.x, er.measurement.y, /*optimize=*/true,
-          config.recoveryJitterScale, lastGoodTheta, result.fitFallbacks,
-          rng);
-    } else {
-      try {
-        gp.addObservation(p.x, er.measurement.y);
-        healthy = true;
-      } catch (const NumericalError&) {
-        healthy = refitGrownWithFallback(
-            gp, p.x, er.measurement.y, /*optimize=*/false,
-            config.recoveryJitterScale, lastGoodTheta, result.fitFallbacks,
-            rng);
-        if (healthy) ++result.fitFallbacks;
-      }
-    }
-    fantasyStale = true;
-    if (healthy) {
-      consecutiveDegraded = 0;
-    } else if (++consecutiveDegraded > config.maxConsecutiveDegraded &&
-               !stop) {
-      HealthMonitor::instance().record(
-          "model.unhealthy", "consecutive degraded-fit limit exceeded");
-      stop = StopReason::ModelUnhealthy;
-    }
-  }
-
-  if (stop) result.stopReason = *stop;
-  FaultContext::setIteration(-1);
-  result.finalGp = gp;
-  return result;
-}
-
 }  // namespace
 
 ContinuousAlResult runContinuousAl(gp::GaussianProcess gp, la::Matrix seedX,
@@ -397,15 +228,10 @@ ContinuousAlResult runContinuousAl(gp::GaussianProcess gp, la::Matrix seedX,
                  config.maxConsecutiveFailures >= 1,
              "runContinuousAl: invalid config");
   policy.validate();
-  {
-    ExecutionConfig exec = config.execution;
-    exec.retry = policy;
-    exec.validate();
-    if (exec.maxInFlight > 1)
-      return runContinuousAlAsync(std::move(gp), std::move(seedX),
-                                  std::move(seedY), bounds, oracle, exec,
-                                  acq, config, rng);
-  }
+  ExecutionConfig exec = config.execution;
+  exec.retry = policy;
+  AsyncDispatcher dispatcher(oracle, exec);
+
   // The seed fit is a precondition, not a campaign step: without any
   // posterior there is nothing to fall back to, so failures throw.
   // Iteration-scoped fault specs must not hit it either.
@@ -414,81 +240,165 @@ ContinuousAlResult runContinuousAl(gp::GaussianProcess gp, la::Matrix seedX,
   gp.fit(std::move(seedX), std::move(seedY), rng);
 
   ContinuousAlResult result{.history = {}, .finalGp = gp};
-  ExperimentExecutor executor(policy);
+
+  // One in-flight suggestion: its location, the constant-liar value the
+  // fantasy is conditioned on, and the suggestion-time record fields.
+  struct PendingPick {
+    std::vector<double> x;
+    double liar = 0.0;
+    ContinuousAlRecord rec;
+  };
+  std::deque<PendingPick> pending;
+
+  // Suggestions are made against the real GP when nothing is in flight,
+  // otherwise against a fantasy conditioned on the pending points at
+  // their predictive means — built only then, so width 1 never copies
+  // the GP.
+  std::optional<gp::GaussianProcess> fantasy;
+  bool fantasyStale = true;  // fantasy no longer matches gp + pending
   std::vector<double> lastGoodTheta = gp.thetaFull();
   int consecutiveFailures = 0;
   int consecutiveDegraded = 0;
+  int committed = 0;
+  std::optional<StopReason> stop;
   const auto loopStart = std::chrono::steady_clock::now();
-  for (int iter = 0; iter < config.iterations; ++iter) {
-    FaultContext::setIteration(iter);
-    trace::Span roundSpan("al.round");
-    roundSpan.note("iter", iter).note("n", gp.numTrainPoints());
-    if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      loopStart)
-            .count() > config.wallClockBudgetSec) {
-      HealthMonitor::instance().record("watchdog",
-                                       "wall-clock budget exhausted");
-      result.stopReason = StopReason::WatchdogExpired;
-      break;
-    }
-    const auto suggestion =
-        suggestContinuous(gp, bounds, acq, config.nStarts, rng);
-    const ExecutionResult er =
-        executor.execute([&] { return oracle.measure(suggestion.x); });
 
-    ContinuousAlRecord rec;
-    rec.x = suggestion.x;
-    rec.sdAtPick = suggestion.sd;
-    rec.acquisition = suggestion.acquisition;
+  const auto extendFantasy = [&](const PendingPick& p) {
+    try {
+      fantasy->addObservation(p.x, p.liar);
+      return true;
+    } catch (const NumericalError&) {
+      // Degraded main model: suggest without the remaining pending
+      // extensions rather than aborting the campaign.
+      HealthMonitor::instance().record(
+          "fantasy.extend",
+          "fantasy extension failed; suggesting without pending points");
+      return false;
+    }
+  };
+  const auto rebuildFantasy = [&] {
+    fantasy = gp;
+    fantasyStale = false;
+    for (const auto& p : pending)
+      if (!extendFantasy(p)) return;
+  };
+
+  while (true) {
+    // SUGGEST phase: keep the pipeline full while no stop condition holds.
+    // At width 1 nothing is in flight here, so each suggestion commits
+    // before the next one is made.
+    if (!stop && !dispatcher.full()) {
+      const int s = committed + static_cast<int>(pending.size());
+      if (s >= config.iterations) {
+        stop = StopReason::MaxIterations;
+        continue;
+      }
+      // Ambient fault/trace iteration: at width > 1 slot threads observe
+      // the most recently submitted index.
+      FaultContext::setIteration(s);
+      trace::Span roundSpan("al.round");
+      roundSpan.note("iter", s)
+          .note("n", gp.numTrainPoints())
+          .note("inflight", pending.size());
+      if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        loopStart)
+              .count() > config.wallClockBudgetSec) {
+        HealthMonitor::instance().record("watchdog",
+                                         "wall-clock budget exhausted");
+        stop = StopReason::WatchdogExpired;
+        continue;
+      }
+      if (!pending.empty() && fantasyStale) rebuildFantasy();
+      const auto suggestion =
+          suggestContinuous(pending.empty() ? gp : *fantasy, bounds, acq,
+                            config.nStarts, rng);
+
+      PendingPick p;
+      p.x = suggestion.x;
+      p.liar = suggestion.mean;
+      p.rec.x = suggestion.x;
+      p.rec.sdAtPick = suggestion.sd;
+      p.rec.acquisition = suggestion.acquisition;
+      dispatcher.submit(AsyncDispatcher::kNoRow, p.x);
+      pending.push_back(std::move(p));
+      // Another suggestion follows before the next commit only while the
+      // dispatcher has room (never at width 1): condition the fantasy on
+      // this one now.
+      if (!dispatcher.full()) {
+        if (fantasyStale)
+          rebuildFantasy();
+        else
+          extendFantasy(pending.back());
+      }
+      continue;
+    }
+
+    // COMMIT phase: retire the oldest in-flight suggestion.
+    if (pending.empty()) break;
+    const AsyncDispatcher::Committed job = dispatcher.commitNext();
+    PendingPick p = std::move(pending.front());
+    pending.pop_front();
+    const ExecutionResult& er = job.result;
+
+    ContinuousAlRecord rec = std::move(p.rec);
     rec.wastedCost = er.wastedCost;
     result.wastedCost += er.wastedCost;
+    ++committed;
 
     if (er.quarantined) {
+      // No observation: the GP stays as it is, but the fantasy conditioned
+      // on a point that never produced data.
       rec.measured = false;
       rec.failedAttempts = er.attempts;
       result.history.push_back(std::move(rec));
-      if (++consecutiveFailures >= config.maxConsecutiveFailures) {
-        result.stopReason = StopReason::OracleExhausted;
-        break;
-      }
-      continue;  // no observation: the GP stays as it is
+      fantasyStale = true;
+      if (++consecutiveFailures >= config.maxConsecutiveFailures && !stop)
+        stop = StopReason::OracleExhausted;
+      continue;
     }
     consecutiveFailures = 0;
     rec.y = er.measurement.y;
     rec.failedAttempts = er.attempts - 1;
-    if (er.measurement.status == MeasurementStatus::Censored) rec.censored = 1.0;
+    if (er.measurement.status == MeasurementStatus::Censored)
+      rec.censored = 1.0;
     result.history.push_back(std::move(rec));
 
+    // Real observation into the main GP, keyed to the commit count.
     bool healthy;
-    if ((iter + 1) % config.refitEvery == 0) {
+    if (committed % config.refitEvery == 0) {
       // Full refit: re-optimize hyperparameters on the grown dataset.
       healthy = refitGrownWithFallback(
-          gp, suggestion.x, er.measurement.y, /*optimize=*/true,
+          gp, p.x, er.measurement.y, /*optimize=*/true,
           config.recoveryJitterScale, lastGoodTheta, result.fitFallbacks,
           rng);
     } else {
       // Cheap O(n²) incremental update between refits; an extension whose
       // pivot collapses falls back to a posterior-only rebuild.
       try {
-        gp.addObservation(suggestion.x, er.measurement.y);
+        gp.addObservation(p.x, er.measurement.y);
         healthy = true;
       } catch (const NumericalError&) {
         healthy = refitGrownWithFallback(
-            gp, suggestion.x, er.measurement.y, /*optimize=*/false,
+            gp, p.x, er.measurement.y, /*optimize=*/false,
             config.recoveryJitterScale, lastGoodTheta, result.fitFallbacks,
             rng);
         if (healthy) ++result.fitFallbacks;
       }
     }
+    fantasyStale = true;
     if (healthy) {
       consecutiveDegraded = 0;
-    } else if (++consecutiveDegraded > config.maxConsecutiveDegraded) {
+    } else if (++consecutiveDegraded > config.maxConsecutiveDegraded &&
+               !stop) {
       HealthMonitor::instance().record(
           "model.unhealthy", "consecutive degraded-fit limit exceeded");
-      result.stopReason = StopReason::ModelUnhealthy;
-      break;
+      stop = StopReason::ModelUnhealthy;
     }
   }
+
+  // On a stop condition the pipeline was drained: already-running
+  // measurements are committed and recorded.
+  result.stopReason = stop.value_or(StopReason::MaxIterations);
   FaultContext::setIteration(-1);
   result.finalGp = gp;
   return result;

@@ -97,13 +97,13 @@ struct ContinuousAlConfig {
   double recoveryJitterScale = 1e-2;
   double wallClockBudgetSec = std::numeric_limits<double>::infinity();
 
-  /// Execution engine controls (executor.hpp). `execution.maxInFlight > 1`
-  /// routes the fallible loop through the asynchronous dispatch engine
-  /// (core/dispatch.hpp): up to that many measurements run concurrently
-  /// while new suggestions are made against a fantasy posterior
-  /// conditioned on the pending points at their predictive means.
-  /// `execution.retry` is overridden by the RetryPolicy parameter of the
-  /// fallible overload.
+  /// Execution engine controls (executor.hpp). Every measurement goes
+  /// through the dispatch engine (core/dispatch.hpp). At the default
+  /// `execution.maxInFlight` of 1 each suggestion is measured before the
+  /// next is made; at k > 1 up to k measurements run concurrently while
+  /// new suggestions are made against a fantasy posterior conditioned on
+  /// the pending points at their predictive means. `execution.retry` is
+  /// overridden by the RetryPolicy parameter of the fallible overload.
   ExecutionConfig execution;
 };
 
@@ -152,8 +152,8 @@ ContinuousAlResult runContinuousAl(gp::GaussianProcess gp, la::Matrix seedX,
 /// Failed suggestions burn cost but do not update the GP; censored
 /// measurements train on their lower bound; a refit whose LML diverges
 /// falls back to the last good hyperparameters. With
-/// config.execution.maxInFlight > 1 measurements are dispatched
-/// asynchronously; records stay in suggestion order.
+/// config.execution.maxInFlight > 1 measurements run concurrently;
+/// records stay in suggestion order.
 ContinuousAlResult runContinuousAl(gp::GaussianProcess gp, la::Matrix seedX,
                                    la::Vector seedY,
                                    const opt::BoxBounds& bounds,

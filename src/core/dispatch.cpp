@@ -104,40 +104,54 @@ std::uint64_t AsyncDispatcher::submit(std::size_t row,
     // notified still counts as idle until it reacquires the lock, so the
     // unclaimed-vs-idle comparison can only over-provision (bounded by
     // maxInFlight), never strand a job with no slot to run it.
-    const std::size_t unclaimed = static_cast<std::size_t>(
-        std::count_if(st.pending.begin(), st.pending.end(),
-                      [](const auto& j) { return !j->claimed; }));
-    if (unclaimed > st.idleSlots &&
-        st.slots.size() < static_cast<std::size_t>(config_.maxInFlight)) {
-      const int slotId = static_cast<int>(st.slots.size());
-      st.slots.emplace_back(&AsyncDispatcher::slotMain, this, slotId);
+    if (!runsInline()) {
+      const std::size_t unclaimed = static_cast<std::size_t>(
+          std::count_if(st.pending.begin(), st.pending.end(),
+                        [](const auto& j) { return !j->claimed; }));
+      if (unclaimed > st.idleSlots &&
+          st.slots.size() < static_cast<std::size_t>(config_.maxInFlight)) {
+        const int slotId = static_cast<int>(st.slots.size());
+        st.slots.emplace_back(&AsyncDispatcher::slotMain, this, slotId);
+      }
     }
   }
-  st.wake.notify_one();
-
-  PerfRegistry::instance().increment("exec.async.submitted");
-  trace::counter("exec.async.inflight",
-                 static_cast<double>(inflightNow));
   span.note("ticket", static_cast<unsigned long long>(ticket))
       .note("inflight", inflightNow);
   if (row != kNoRow) span.note("row", row);
+  if (runsInline()) return ticket;
+  st.wake.notify_one();
+  PerfRegistry::instance().increment("exec.async.submitted");
+  trace::counter("exec.async.inflight", static_cast<double>(inflightNow));
   return ticket;
 }
 
 AsyncDispatcher::Committed AsyncDispatcher::commitNext() {
   State& st = *state_;
-  // Time spent blocked on the pipeline head — the async analogue of the
-  // synchronous path's whole exec.measure latency being on the loop.
-  ScopedTimer timer("exec.async.commitwait");
   std::unique_ptr<Job> job;
-  std::size_t remaining = 0;
-  {
+  if (runsInline()) {
+    // Width 1: the measurement runs here, on the calling thread.
+    {
+      MutexLock lk(st.mu);
+      ALPERF_ASSERT(!st.pending.empty(),
+                    "AsyncDispatcher::commitNext: nothing in flight");
+      job = std::move(st.pending.front());
+      st.pending.erase(st.pending.begin());
+    }
+    job->result = measure(*job, 0);
+  } else {
+    // Time spent blocked on the pipeline head — the part of the
+    // measurement latency still on the loop's critical path.
+    ScopedTimer timer("exec.async.commitwait");
     UniqueLock lk(st.mu);
     ALPERF_ASSERT(!st.pending.empty(),
                   "AsyncDispatcher::commitNext: nothing in flight");
     st.finished.wait(lk, [&st] { return st.pending.front()->done; });
     job = std::move(st.pending.front());
     st.pending.erase(st.pending.begin());
+  }
+  std::size_t remaining = 0;
+  {
+    MutexLock lk(st.mu);
     remaining = st.pending.size();
     st.totalWastedCost += job->result.wastedCost;
     if (job->result.quarantined) {
@@ -147,10 +161,12 @@ AsyncDispatcher::Committed AsyncDispatcher::commitNext() {
       st.totalFailedAttempts += job->result.attempts - 1;
     }
   }
-  PerfRegistry::instance().increment("exec.async.committed");
-  if (job->result.quarantined)
-    PerfRegistry::instance().increment("exec.async.quarantined");
-  trace::counter("exec.async.inflight", static_cast<double>(remaining));
+  if (!runsInline()) {
+    PerfRegistry::instance().increment("exec.async.committed");
+    if (job->result.quarantined)
+      PerfRegistry::instance().increment("exec.async.quarantined");
+    trace::counter("exec.async.inflight", static_cast<double>(remaining));
+  }
 
   Committed out;
   out.ticket = job->ticket;
@@ -175,6 +191,25 @@ int AsyncDispatcher::totalQuarantined() const {
   return state_->totalQuarantined;
 }
 
+ExecutionResult AsyncDispatcher::measure(Job& job, int slot) const {
+  trace::Span span("exec.inflight");
+  span.note("ticket", static_cast<unsigned long long>(job.ticket))
+      .note("slot", slot);
+  bool firstAttempt = true;
+  ExecutionResult result = runWithRetries(config_.retry, [&] {
+    if (!oracle_.hasAsync()) return oracle_.measureAny(job.row, job.x);
+    if (firstAttempt && job.hasBackendTicket) {
+      firstAttempt = false;
+      return oracle_.await(job.backendTicket);
+    }
+    firstAttempt = false;
+    return oracle_.await(oracle_.submit(job.row, job.x));
+  });
+  span.note("outcome", result.quarantined ? "quarantined" : "committed")
+      .note("attempts", result.attempts);
+  return result;
+}
+
 void AsyncDispatcher::slotMain(int slot) {
   trace::nameCurrentThread("exec.slot." + std::to_string(slot));
   State& st = *state_;
@@ -197,24 +232,7 @@ void AsyncDispatcher::slotMain(int slot) {
     job->claimed = true;
     lk.unlock();
 
-    ExecutionResult result;
-    {
-      trace::Span span("exec.inflight");
-      span.note("ticket", static_cast<unsigned long long>(job->ticket))
-          .note("slot", slot);
-      bool firstAttempt = true;
-      result = runWithRetries(config_.retry, [&] {
-        if (!oracle_.hasAsync()) return oracle_.measureAny(job->row, job->x);
-        if (firstAttempt && job->hasBackendTicket) {
-          firstAttempt = false;
-          return oracle_.await(job->backendTicket);
-        }
-        firstAttempt = false;
-        return oracle_.await(oracle_.submit(job->row, job->x));
-      });
-      span.note("outcome", result.quarantined ? "quarantined" : "committed")
-          .note("attempts", result.attempts);
-    }
+    ExecutionResult result = measure(*job, slot);
 
     lk.lock();
     job->result = std::move(result);

@@ -1,40 +1,41 @@
 #pragma once
 
 /// \file dispatch.hpp
-/// Bounded in-flight asynchronous experiment dispatch with deterministic
-/// commit order — the execution engine behind `ExecutionConfig::
-/// maxInFlight > 1`.
+/// Bounded in-flight experiment dispatch with deterministic commit order —
+/// the one execution engine behind every AL loop, at every
+/// `ExecutionConfig::maxInFlight`.
 ///
 /// A real measurement backend is a cluster scheduler: submitting a job
-/// returns immediately and the result arrives minutes later. The
-/// synchronous ExperimentExecutor blocks the whole campaign on each
-/// measurement; AsyncDispatcher instead keeps up to `maxInFlight`
-/// measurements running concurrently, each driven through the full
-/// RetryPolicy state machine (retry / backoff / quarantine, executor.hpp)
-/// inside its own slot, while the AL loop keeps selecting new experiments
-/// against a fantasy posterior (learner.cpp / continuous.cpp).
+/// returns immediately and the result arrives minutes later.
+/// AsyncDispatcher keeps up to `maxInFlight` measurements running
+/// concurrently, each driven through the full RetryPolicy state machine
+/// (retry / backoff / quarantine, executor.hpp) inside its own slot, while
+/// the AL loop keeps selecting new experiments against a fantasy posterior
+/// (learner.cpp / continuous.cpp).
 ///
 /// **Determinism contract.** Results are *committed* — handed back to the
 /// caller — strictly in submission order, regardless of the order in
 /// which slots finish. Everything the AL loop does with a result
 /// therefore happens in a thread-count-independent order, which is what
-/// keeps async campaign traces bit-identical at any slot count for a
-/// fixed `maxInFlight` (the pick *sequence* does depend on maxInFlight:
+/// keeps campaign traces bit-identical at any slot count for a fixed
+/// `maxInFlight` (the pick *sequence* does depend on maxInFlight:
 /// pipelining is a real algorithmic change, selection sees k−1 fantasy
 /// points instead of their measurements).
 ///
-/// **Threading model.** The dispatcher owns up to `maxInFlight` dedicated
-/// slot threads, spawned lazily on demand and named `exec.slot.N` so
-/// every measurement's `exec.measure` / `exec.attempt` spans land on a
-/// per-slot trace lane. Oracle calls are latency-bound (the slot mostly
-/// *waits* on the backend), so they deliberately do not run on the
-/// compute ThreadPool: its width is tied to the core count, which must
-/// not cap the dispatch width, and parking compute workers on oracle
-/// latency would starve the GP fits and pool scoring that run
+/// **Threading model.** At capacity 1 no thread is started: commitNext()
+/// runs the measurement on the calling thread, and no `exec.async.*`
+/// counter or timer is recorded. At capacity k > 1 the dispatcher owns up
+/// to k dedicated slot threads, spawned lazily on demand and named
+/// `exec.slot.N` so every measurement's `exec.measure` / `exec.attempt`
+/// spans land on a per-slot trace lane. Oracle calls are latency-bound
+/// (the slot mostly *waits* on the backend), so they deliberately do not
+/// run on the compute ThreadPool: its width is tied to the core count,
+/// which must not cap the dispatch width, and parking compute workers on
+/// oracle latency would starve the GP fits and pool scoring that run
 /// concurrently with the measurements — learning while measuring is the
 /// point. Backends with native asynchrony (Oracle::withAsync) are handed
-/// the job at submit() time, on the calling thread, and the slot only
-/// parks on `await`.
+/// the job at submit() time, on the calling thread, and the measurement
+/// only parks on `await`.
 ///
 /// All public methods except the ledger getters must be called from one
 /// coordinating thread (the AL loop); the ledger and the commit path are
@@ -79,7 +80,8 @@ class AsyncDispatcher {
   /// Submits one experiment (problem row, or kNoRow, plus its design
   /// point, which is copied) and returns its ticket — a 0-based
   /// submission sequence number. Returns immediately; the measurement
-  /// runs on a slot thread. Throws std::logic_error when full().
+  /// runs on a slot thread (at capacity 1, inside commitNext()). Throws
+  /// std::logic_error when full().
   std::uint64_t submit(std::size_t row, std::span<const double> x);
 
   /// One committed experiment: the submission's identity plus the full
@@ -98,8 +100,9 @@ class AsyncDispatcher {
   /// deterministic commit order too.
   Committed commitNext();
 
-  /// Campaign ledger across committed executions — same semantics as
-  /// ExperimentExecutor's.
+  /// Campaign ledger across committed executions: cost burned by failed
+  /// attempts (backoff surcharges included), failed attempts, and how
+  /// many executions ended quarantined.
   double totalWastedCost() const;
   int totalFailedAttempts() const;
   int totalQuarantined() const;
@@ -108,6 +111,10 @@ class AsyncDispatcher {
   struct Job;
   struct State;
 
+  /// Capacity 1 measures on the coordinating thread, with no slot.
+  bool runsInline() const { return config_.maxInFlight == 1; }
+  /// One job through the retry state machine (slot thread or inline).
+  ExecutionResult measure(Job& job, int slot) const;
   void slotMain(int slot);
 
   Oracle oracle_;

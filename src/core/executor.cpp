@@ -70,22 +70,4 @@ ExecutionResult runWithRetries(const RetryPolicy& policy,
   return result;
 }
 
-ExperimentExecutor::ExperimentExecutor(RetryPolicy policy) : policy_(policy) {
-  policy_.validate();
-}
-
-ExecutionResult ExperimentExecutor::execute(
-    const std::function<Measurement()>& attempt) {
-  requireArg(attempt != nullptr, "ExperimentExecutor: null attempt");
-  const ExecutionResult result = runWithRetries(policy_, attempt);
-  totalWastedCost_ += result.wastedCost;
-  if (result.quarantined) {
-    totalFailedAttempts_ += result.attempts;
-    ++totalQuarantined_;
-  } else {
-    totalFailedAttempts_ += result.attempts - 1;
-  }
-  return result;
-}
-
 }  // namespace alperf::al

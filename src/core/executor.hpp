@@ -5,36 +5,22 @@
 /// measurement backends.
 ///
 /// A backend (real cluster, simulator, instrumented application) is a
-/// *fallible oracle*: it may return Failed or Censored measurements
-/// instead of a clean response (common/outcome.hpp). The
-/// ExperimentExecutor wraps one oracle call site with a RetryPolicy:
-/// failed attempts are retried with a capped exponential cost surcharge
-/// (the cost-domain analogue of retry backoff — requeued jobs burn queue
-/// time and scheduler overhead), every burned unit is charged to the
-/// campaign ledger, and a point whose retries are exhausted is reported
-/// as quarantined so the caller can exclude it from future selection.
+/// *fallible oracle* (core/oracle.hpp): it may return Failed or Censored
+/// measurements instead of a clean response (common/outcome.hpp).
+/// runWithRetries wraps one measurement in a RetryPolicy: failed attempts
+/// are retried with a capped exponential cost surcharge (the cost-domain
+/// analogue of retry backoff — requeued jobs burn queue time and
+/// scheduler overhead), every burned unit is charged to the result, and a
+/// point whose retries are exhausted is reported as quarantined so the
+/// caller can exclude it from future selection. The dispatch engine
+/// (core/dispatch.hpp) runs it for every measurement and keeps the
+/// campaign ledger.
 
 #include <functional>
-#include <span>
 
 #include "common/outcome.hpp"
 
 namespace alperf::al {
-
-/// Fallible measurement oracle over a continuous design point.
-///
-/// \deprecated Oracle API v1. Prefer `al::Oracle` (core/oracle.hpp),
-/// which erases this shape (and the row-based and infallible ones) behind
-/// a single capability-probing handle; every loop now takes an Oracle and
-/// converts from this typedef implicitly. Kept for one release so
-/// downstream aliases keep compiling.
-using FallibleOracle = std::function<Measurement(std::span<const double>)>;
-
-/// Fallible oracle over discrete problem rows (pool-based AL): given the
-/// problem-row index of the selected experiment, run it.
-///
-/// \deprecated Oracle API v1 — see FallibleOracle; prefer `al::Oracle`.
-using FallibleRowOracle = std::function<Measurement(std::size_t row)>;
 
 /// Retry behaviour for failed attempts.
 struct RetryPolicy {
@@ -57,18 +43,18 @@ struct RetryPolicy {
 };
 
 /// Everything that governs *how* measurements are executed, as opposed to
-/// what is measured: the retry state machine plus the dispatch-width knob
-/// of the asynchronous engine (core/dispatch.hpp). Embedded in AlConfig
-/// and ContinuousAlConfig as `.execution`; both loops call validate() on
+/// what is measured: the retry state machine plus the width of the
+/// dispatch engine (core/dispatch.hpp). Embedded in AlConfig and
+/// ContinuousAlConfig as `.execution`; both loops call validate() on
 /// entry. The loops' separate RetryPolicy parameters predate this struct
 /// and remain as aliases for one release — a policy passed there
 /// overrides `retry`.
 struct ExecutionConfig {
   RetryPolicy retry;
-  /// Measurements allowed in flight concurrently. 1 (the default) is the
-  /// fully synchronous path — bitwise the pre-async behaviour, no
-  /// dispatcher, no extra threads. k > 1 engages AsyncDispatcher with k
-  /// slots and constant-liar fantasy selection for pending points.
+  /// Measurements allowed in flight concurrently. 1 (the default) commits
+  /// each pick before the next is selected, measuring on the loop's own
+  /// thread with no extra threads. k > 1 runs k slots and selects against
+  /// a constant-liar fantasy posterior over the pending points.
   int maxInFlight = 1;
 
   /// Throws std::invalid_argument on nonsense values.
@@ -94,46 +80,14 @@ struct ExecutionResult {
   }
 };
 
-/// The retry state machine, free of any ledger: runs `attempt` until it
-/// yields a usable measurement or `policy`'s retries are exhausted,
-/// demoting non-finite Ok/Censored responses to Failed and accumulating
-/// burned cost plus backoff surcharges into the result. Shared by
-/// ExperimentExecutor::execute (which adds the campaign ledger) and each
-/// AsyncDispatcher slot (which runs it concurrently, one in-flight
-/// measurement per slot, and merges ledgers at commit time).
+/// The retry state machine: runs `attempt` until it yields a usable
+/// measurement or `policy`'s retries are exhausted. Non-finite Ok/Censored
+/// responses are demoted to Failed (they must never reach a Cholesky);
+/// every failed attempt's burned cost, plus the policy's backoff
+/// surcharge, is accumulated into the result. Each AsyncDispatcher
+/// measurement runs through it (on a slot, or inline at width 1), and the
+/// dispatcher merges results into its ledger at commit time.
 ExecutionResult runWithRetries(const RetryPolicy& policy,
                                const std::function<Measurement()>& attempt);
-
-/// Drives retries for one oracle around a RetryPolicy and keeps a
-/// campaign-level ledger of waste. The executor is deliberately agnostic
-/// of *what* is being measured: callers adapt row- or x-based oracles via
-/// execute()'s thunk, so both the discrete and the continuous loop share
-/// one retry state machine.
-class ExperimentExecutor {
- public:
-  explicit ExperimentExecutor(RetryPolicy policy = {});
-
-  /// Runs `attempt` until it yields a usable measurement or the policy's
-  /// retries are exhausted. Non-finite Ok responses are demoted to Failed
-  /// (they must never reach a Cholesky). Every failed attempt's burned
-  /// cost, plus the policy's backoff surcharge, is accumulated into the
-  /// result and the ledger.
-  ExecutionResult execute(const std::function<Measurement()>& attempt);
-
-  /// Ledger: total cost burned by failed attempts across all execute()
-  /// calls, total failed attempts, and how many executions ended
-  /// quarantined.
-  double totalWastedCost() const { return totalWastedCost_; }
-  int totalFailedAttempts() const { return totalFailedAttempts_; }
-  int totalQuarantined() const { return totalQuarantined_; }
-
-  const RetryPolicy& policy() const { return policy_; }
-
- private:
-  RetryPolicy policy_;
-  double totalWastedCost_ = 0.0;
-  int totalFailedAttempts_ = 0;
-  int totalQuarantined_ = 0;
-};
 
 }  // namespace alperf::al

@@ -45,84 +45,6 @@ std::string toString(StopReason reason) {
   throw std::invalid_argument("toString: unknown StopReason");
 }
 
-data::Table historyToTable(const AlResult& result) {
-  return historyToTable(std::span<const IterationRecord>(result.history));
-}
-
-data::Table historyToTable(std::span<const IterationRecord> history) {
-  const std::size_t n = history.size();
-  std::vector<double> iteration(n), chosen(n), sigma(n), mu(n), amsd(n),
-      rmse(n), pickCost(n), cumCost(n), noiseVar(n), lml(n), failed(n),
-      wasted(n), censored(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& rec = history[i];
-    iteration[i] = rec.iteration;
-    chosen[i] = static_cast<double>(rec.chosenRow);
-    sigma[i] = rec.sigmaAtPick;
-    mu[i] = rec.muAtPick;
-    amsd[i] = rec.amsd;
-    rmse[i] = rec.rmse;
-    pickCost[i] = rec.pickCost;
-    cumCost[i] = rec.cumulativeCost;
-    noiseVar[i] = rec.noiseVariance;
-    lml[i] = rec.lml;
-    failed[i] = rec.failedAttempts;
-    wasted[i] = rec.wastedCost;
-    censored[i] = rec.censored;
-  }
-  data::Table t;
-  t.addNumeric("Iteration", std::move(iteration));
-  t.addNumeric("ChosenRow", std::move(chosen));
-  t.addNumeric("SigmaAtPick", std::move(sigma));
-  t.addNumeric("MuAtPick", std::move(mu));
-  t.addNumeric("AMSD", std::move(amsd));
-  t.addNumeric("RMSE", std::move(rmse));
-  t.addNumeric("PickCost", std::move(pickCost));
-  t.addNumeric("CumulativeCost", std::move(cumCost));
-  t.addNumeric("NoiseVariance", std::move(noiseVar));
-  t.addNumeric("LML", std::move(lml));
-  t.addNumeric("FailedAttempts", std::move(failed));
-  t.addNumeric("WastedCost", std::move(wasted));
-  t.addNumeric("Censored", std::move(censored));
-  return t;
-}
-
-std::vector<IterationRecord> historyFromTable(const data::Table& table) {
-  const std::size_t n = table.numRows();
-  std::vector<IterationRecord> history(n);
-  const auto fill = [&](const std::string& name,
-                        double IterationRecord::* field, bool required) {
-    if (!table.hasColumn(name)) {
-      requireArg(!required, "historyFromTable: missing column '" + name + "'");
-      return;
-    }
-    const auto col = table.numeric(name);
-    for (std::size_t i = 0; i < n; ++i) history[i].*field = col[i];
-  };
-  requireArg(table.hasColumn("Iteration") && table.hasColumn("ChosenRow"),
-             "historyFromTable: not a learning-trace table");
-  const auto iter = table.numeric("Iteration");
-  const auto chosen = table.numeric("ChosenRow");
-  for (std::size_t i = 0; i < n; ++i) {
-    history[i].iteration = static_cast<int>(iter[i]);
-    history[i].chosenRow = static_cast<std::size_t>(chosen[i]);
-  }
-  fill("SigmaAtPick", &IterationRecord::sigmaAtPick, true);
-  fill("MuAtPick", &IterationRecord::muAtPick, true);
-  fill("AMSD", &IterationRecord::amsd, true);
-  fill("RMSE", &IterationRecord::rmse, true);
-  fill("PickCost", &IterationRecord::pickCost, true);
-  fill("CumulativeCost", &IterationRecord::cumulativeCost, true);
-  fill("NoiseVariance", &IterationRecord::noiseVariance, true);
-  fill("LML", &IterationRecord::lml, true);
-  // Fault columns are absent in traces archived before the fault-tolerant
-  // execution layer existed.
-  fill("FailedAttempts", &IterationRecord::failedAttempts, false);
-  fill("WastedCost", &IterationRecord::wastedCost, false);
-  fill("Censored", &IterationRecord::censored, false);
-  return history;
-}
-
 ActiveLearner::ActiveLearner(RegressionProblem problem,
                              gp::GaussianProcess gpPrototype,
                              StrategyPtr strategy, AlConfig config)
@@ -218,13 +140,10 @@ void ActiveLearner::validateCheckpoint(const Checkpoint& cp) const {
 
 namespace {
 
-/// The model-maintenance core shared by both execution loops: training-set
-/// materialization, the four-rung fit degradation ladder
-/// (docs/ROBUSTNESS.md), the incremental-posterior chain bookkeeping, and
-/// the resume-time chain rebuild. Extracted verbatim from the synchronous
-/// loop so the asynchronous loop (runLoopAsync) reuses exactly its fit
-/// behaviour — the maxInFlight=1 bit-identity guarantee hinges on the
-/// synchronous operation sequence not changing.
+/// The campaign loop's model maintenance: training-set materialization,
+/// the four-rung fit degradation ladder (docs/ROBUSTNESS.md), the
+/// incremental-posterior chain bookkeeping, and the resume-time chain
+/// rebuild.
 struct FitEngine {
   const RegressionProblem& problem;
   const AlConfig& config;
@@ -271,7 +190,7 @@ struct FitEngine {
   // posterior-only refit at the last good hyperparameters; (4) a
   // prior-only posterior, which cannot fail. Returns true when the model
   // ended with a genuine GP posterior (rungs 1–3) and false when it is
-  // degraded to the prior — the loops' unhealthy-model stops count those.
+  // degraded to the prior — the loop's unhealthy-model stop counts those.
   // Posterior-only updates (optimize false) extend the existing
   // factorization when incrementalPosterior allows; anything else is a
   // full refactorization.
@@ -398,20 +317,12 @@ struct FitEngine {
 AlResult ActiveLearner::runLoop(Checkpoint state, const Oracle* oracle,
                                 const RetryPolicy* policy,
                                 stats::Rng& rng) const {
-  // The asynchronous engine is a different loop shape; route k > 1 there.
-  // maxInFlight = 1 (the default) stays on this synchronous path bitwise —
-  // no dispatcher, no slot threads, no exec.async.* counters.
-  {
-    ExecutionConfig exec = config_.execution;
-    if (policy != nullptr) exec.retry = *policy;
-    exec.validate();
-    if (exec.maxInFlight > 1) {
-      requireArg(config_.batchSize == 1,
-                 "ActiveLearner: maxInFlight > 1 requires batchSize == 1 "
-                 "(async dispatch subsumes batch selection)");
-      return runLoopAsync(std::move(state), oracle, exec, rng);
-    }
-  }
+  ExecutionConfig exec = config_.execution;
+  if (policy != nullptr) exec.retry = *policy;
+  exec.validate();
+  requireArg(exec.maxInFlight == 1 || config_.batchSize == 1,
+             "ActiveLearner: maxInFlight > 1 requires batchSize == 1 "
+             "(async dispatch subsumes batch selection)");
 
   if (state.hasRngState) rng.restoreState(state.rngState);
 
@@ -431,11 +342,21 @@ AlResult ActiveLearner::runLoop(Checkpoint state, const Oracle* oracle,
   if (!state.gpTheta.empty()) gp.setThetaFull(state.gpTheta);
   const double baseNoiseLo = gpPrototype_.config().noise.lo;
 
-  ExperimentExecutor executor(policy ? *policy : config_.execution.retry);
-
   FitEngine engine(problem_, config_, state, gp, rng, result.fitFallbacks,
                    gpPrototype_.config().jitterScaleMax);
   engine.rebuildResumeChain();
+
+  // Every campaign measures through the dispatcher. Table-driven campaigns
+  // use the problem database as an always-usable oracle, so commit
+  // handling is uniform (the measurement carries the row's cost). At
+  // width 1 the dispatcher measures on this thread, at commit time.
+  const Oracle measure =
+      oracle != nullptr
+          ? *oracle
+          : Oracle([this](std::size_t row) {
+              return Measurement::ok(problem_.y[row], problem_.cost[row]);
+            });
+  AsyncDispatcher dispatcher(measure, exec);
 
   // Test design matrix/response, fixed for the whole run.
   la::Matrix testX(state.partition.test.size(), problem_.dim());
@@ -451,7 +372,13 @@ AlResult ActiveLearner::runLoop(Checkpoint state, const Oracle* oracle,
   // this runLoop so a checkpoint resume starts cold and revalidates
   // against the rebuilt factorization chain. Serves pool scoring and the
   // strategies' main-GP predictions; bit-identical to direct prediction,
-  // so the flag changes counters, never traces.
+  // so the flag changes counters, never traces. It serves the fantasy
+  // posterior too: the fantasy GP is the main GP extended with one
+  // constant-liar observation per pending pick via Cholesky extension,
+  // which preserves posteriorVersion and the bitwise train prefix, so the
+  // cache stays on its O(n·m) hit/append paths across fantasy rebuilds (a
+  // commit replaces a liar y with the real y at the *same x*, and L,
+  // K_cross and V depend only on X, never on y).
   gp::PoolPredictCache poolCache;
   if (config_.poolPredictCache && !state.pool.empty())
     poolCache.pin(problem_.x, state.pool);
@@ -459,322 +386,59 @@ AlResult ActiveLearner::runLoop(Checkpoint state, const Oracle* oracle,
   gp::PredictWorkspace testWs;
   gp::PredictWorkspace poolWs;
 
-  const auto loopStart = std::chrono::steady_clock::now();
-  int consecutiveDegraded = 0;
-  while (true) {
-    // Ambient iteration for fault predicates and health-incident stamps.
-    FaultContext::setIteration(state.iteration);
-    trace::Span iterSpan("al.iteration");
-    iterSpan.note("iter", state.iteration)
-        .note("train", state.train.size())
-        .note("pool", state.pool.size());
-    if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      loopStart)
-            .count() > config_.wallClockBudgetSec) {
-      HealthMonitor::instance().record("watchdog",
-                                       "wall-clock budget exhausted");
-      result.stopReason = StopReason::WatchdogExpired;
-      break;
-    }
-    if (state.pool.empty()) {
-      result.stopReason = state.quarantined.empty()
-                              ? StopReason::PoolExhausted
-                              : StopReason::OracleExhausted;
-      break;
-    }
-    if (config_.maxIterations >= 0 &&
-        state.iteration >= config_.maxIterations) {
-      result.stopReason = StopReason::MaxIterations;
-      break;
-    }
-    if (state.cumulativeCost >= config_.costBudget) {
-      result.stopReason = StopReason::Budget;
-      break;
-    }
-    if (config_.amsdWindow > 0 && config_.amsdRelTol > 0.0 &&
-        state.history.size() >
-            static_cast<std::size_t>(config_.amsdWindow)) {
-      bool converged = true;
-      const auto& h = state.history;
-      for (std::size_t i = h.size() - config_.amsdWindow; i < h.size(); ++i) {
-        const double prev = h[i - 1].amsd;
-        if (prev <= 0.0 ||
-            std::abs(h[i].amsd - prev) / prev > config_.amsdRelTol) {
-          converged = false;
-          break;
-        }
-      }
-      if (converged) {
-        result.stopReason = StopReason::AmsdConverged;
-        break;
-      }
-    }
-
-    // Fit the GP (full hyperparameter refit on the configured cadence).
-    if (config_.dynamicNoiseBound) {
-      const double lo = std::max(
-          baseNoiseLo,
-          1.0 / std::sqrt(static_cast<double>(state.train.size())));
-      gp.config().noise.lo = std::min(lo, gp.config().noise.hi);
-    }
-    if (engine.fitWithFallback((state.iteration % config_.refitEvery) == 0)) {
-      consecutiveDegraded = 0;
-    } else {
-      // Prior-only rung: the campaign may continue briefly (a later refit
-      // can recover), but a persistently blind model must stop.
-      ++consecutiveDegraded;
-      if (consecutiveDegraded > config_.maxConsecutiveDegraded) {
-        HealthMonitor::instance().record(
-            "model.unhealthy", "consecutive degraded-fit limit exceeded");
-        result.stopReason = StopReason::ModelUnhealthy;
-        break;
-      }
-    }
-
-    // Progress metrics over the remaining pool and the test set.
-    gp::Prediction poolPred;
-    la::Vector poolSd;
-    double amsd = 0.0;
-    double rmse = 0.0;
-    {
-      trace::Span scoreSpan("al.score");
-      scoreSpan.note("pool", state.pool.size())
-          .note("test", state.partition.test.size());
-      // Pool scoring through the campaign cache when it can serve (the
-      // gathered poolX matrix is then never materialized); direct batch
-      // predict otherwise. Both produce bitwise the same Prediction.
-      const bool served =
-          config_.poolPredictCache &&
-          poolCache.predict(gp, state.pool, false, poolPred);
-      if (!served) {
-        la::Matrix poolX(state.pool.size(), problem_.dim());
-        for (std::size_t i = 0; i < state.pool.size(); ++i) {
-          const auto row = problem_.x.row(state.pool[i]);
-          std::copy(row.begin(), row.end(), poolX.row(i).begin());
-        }
-        poolPred = gp.predict(poolX, false, poolWs);
-      }
-      poolSd = poolPred.stdDev();
-      amsd = stats::mean(poolSd);
-      if (!state.partition.test.empty()) {
-        const auto testPred = gp.predict(testX, false, testWs);
-        rmse = stats::rmse(testPred.mean, testY);
-      }
-    }
-
-    // Let the strategy pick.
-    const SelectionContext ctx{gp, problem_,
-                               std::span<const std::size_t>(state.pool), rng,
-                               config_.poolPredictCache ? &poolCache
-                                                        : nullptr};
-    std::vector<std::size_t> picks;
-    {
-      trace::Span selectSpan("al.select");
-      selectSpan.note("pool", state.pool.size())
-          .note("batch", std::min(config_.batchSize, state.pool.size()));
-      if (config_.batchSize == 1) {
-        picks.push_back(strategy_->select(ctx));
-      } else {
-        picks = strategy_->selectBatch(
-            ctx, std::min(config_.batchSize, state.pool.size()));
-      }
-    }
-    ALPERF_ASSERT(!picks.empty(), "strategy returned no pick");
-
-    IterationRecord rec;
-    rec.iteration = state.iteration;
-    rec.chosenRow = state.pool[picks.front()];
-    rec.sigmaAtPick = poolSd[picks.front()];
-    rec.muAtPick = poolPred.mean[picks.front()];
-    rec.amsd = amsd;
-    rec.rmse = rmse;
-    rec.noiseVariance = gp.noiseVariance();
-    rec.lml = gp.logMarginalLikelihood();
-
-    // Consume picks (descending positions so erasure is stable).
-    std::vector<std::size_t> sorted = picks;
-    std::sort(sorted.rbegin(), sorted.rend());
-    for (std::size_t pos : sorted) {
-      ALPERF_ASSERT(pos < state.pool.size(), "pick position out of range");
-      const std::size_t row = state.pool[pos];
-      if (oracle == nullptr) {
-        // Table-driven path: the response is already in the database.
-        rec.pickCost += problem_.cost[row];
-        state.train.push_back(row);
-        state.trainY.push_back(problem_.y[row]);
-      } else {
-        // Fallible path: measure through the executor; quarantine on
-        // retry exhaustion, train on censored lower bounds. Row-based
-        // oracles get the row id, point-based ones its coordinates.
-        const ExecutionResult er = executor.execute(
-            [&] { return oracle->measureAny(row, problem_.x.row(row)); });
-        rec.wastedCost += er.wastedCost;
-        if (er.quarantined) {
-          rec.failedAttempts += er.attempts;
-          state.quarantined.push_back(row);
-        } else {
-          rec.failedAttempts += er.attempts - 1;
-          rec.pickCost += er.measurement.cost;
-          if (er.measurement.status == MeasurementStatus::Censored)
-            rec.censored = 1.0;
-          state.train.push_back(row);
-          state.trainY.push_back(er.measurement.y);
-        }
-      }
-      state.pool.erase(state.pool.begin() + static_cast<std::ptrdiff_t>(pos));
-    }
-    state.cumulativeCost += rec.pickCost + rec.wastedCost;
-    rec.cumulativeCost = state.cumulativeCost;
-    state.history.push_back(rec);
-    ++state.iteration;
-  }
-
-  // The final fit below belongs to no campaign iteration: iteration-scoped
-  // fault specs must not hit it, and its health incidents carry no stamp.
-  FaultContext::setIteration(-1);
-
-  // Snapshot the loop state *before* the final fit consumes the RNG, so a
-  // resumed run re-enters the loop with the exact stream a straight run
-  // would have had.
-  state.gpTheta = engine.lastGoodTheta;
-  state.trainAtLastFit = engine.fullFitTrainCount;
-  state.rngState = rng.saveState();
-  state.hasRngState = true;
-  result.history = state.history;
-
-  // Final model on everything consumed (fallback as in the loop: a
-  // diverged final refit must not discard the campaign).
-  engine.fitWithFallback(true);
-  result.finalGp = gp;
-  result.checkpoint = std::move(state);
-  return result;
-}
-
-AlResult ActiveLearner::runLoopAsync(Checkpoint state, const Oracle* oracle,
-                                     const ExecutionConfig& exec,
-                                     stats::Rng& rng) const {
-  if (state.hasRngState) rng.restoreState(state.rngState);
-  trace::CampaignTraceScope traceScope(config_.tracePath);
-
-  AlResult result{.history = {},
-                  .partition = state.partition,
-                  .stopReason = StopReason::PoolExhausted,
-                  .finalGp = gpPrototype_,
-                  .checkpoint = {},
-                  .fitFallbacks = 0};
-
-  gp::GaussianProcess gp = gpPrototype_;
-  if (!state.gpTheta.empty()) gp.setThetaFull(state.gpTheta);
-  const double baseNoiseLo = gpPrototype_.config().noise.lo;
-
-  FitEngine engine(problem_, config_, state, gp, rng, result.fitFallbacks,
-                   gpPrototype_.config().jitterScaleMax);
-  engine.rebuildResumeChain();
-
-  // The table-driven path runs through the same dispatch engine as the
-  // oracle path: the problem database acts as an always-usable oracle, so
-  // commit handling below is uniform (cost accounting included — the
-  // measurement carries the row's cost column).
-  const Oracle execOracle =
-      oracle != nullptr
-          ? *oracle
-          : Oracle([this](std::size_t row) {
-              return Measurement::ok(problem_.y[row], problem_.cost[row]);
-            });
-  AsyncDispatcher dispatcher(execOracle, exec);
-
-  // Test design matrix/response, fixed for the whole run.
-  la::Matrix testX(state.partition.test.size(), problem_.dim());
-  la::Vector testY(state.partition.test.size());
-  for (std::size_t i = 0; i < state.partition.test.size(); ++i) {
-    const auto row = problem_.x.row(state.partition.test[i]);
-    std::copy(row.begin(), row.end(), testX.row(i).begin());
-    testY[i] = problem_.y[state.partition.test[i]];
-  }
-
-  // Campaign pool posterior cache, serving the *fantasy* posterior here.
-  // The fantasy GP is the committed-data GP extended with one constant-
-  // liar observation per pending pick via Cholesky extension — which
-  // preserves posteriorVersion and the bitwise train prefix, so the cache
-  // stays on its O(n·m) hit/append paths across fantasy rebuilds: a
-  // commit replaces a liar y with the real y at the *same x*, and L,
-  // K_cross and V depend only on X, never on y (alpha is read live).
-  gp::PoolPredictCache poolCache;
-  if (config_.poolPredictCache && !state.pool.empty())
-    poolCache.pin(problem_.x, state.pool);
-  gp::PredictWorkspace testWs;
-  gp::PredictWorkspace poolWs;
-
-  // One in-flight pick: its row, the constant-liar value the fantasy was
-  // conditioned on, and the submit-time record (selection metrics are
-  // decided at selection time; execution fields are filled at commit).
-  struct PendingPick {
-    std::size_t row = 0;
-    double liar = 0.0;
+  // One selection step awaiting its measurements: the picked rows in
+  // measurement order, the constant-liar value of each, and the
+  // selection-time record (execution fields are filled at commit).
+  struct PendingStep {
+    std::vector<std::size_t> rows;
+    std::vector<double> liars;
     IterationRecord rec;
   };
-  std::deque<PendingPick> pending;
+  std::deque<PendingStep> pending;
 
-  gp::GaussianProcess fantasy = gp;
-  bool gpCurrent = false;       // main GP fitted on current state.train
-  bool fantasyStale = true;     // fantasy needs rebuilding from main
-  bool mainHealthy = true;      // last main fit ended non-degraded
+  // Constant-liar fantasy: the main GP conditioned on every pending pick
+  // at its predictive mean. Built only while picks are in flight, so
+  // width 1 never copies the GP.
+  std::optional<gp::GaussianProcess> fantasy;
+  bool fantasyStale = true;  // fantasy no longer matches gp + pending
+  bool gpCurrent = false;    // main GP fitted on current state.train
   int consecutiveDegraded = 0;
 
+  const auto extendFantasy = [&](std::size_t row, double liar) {
+    try {
+      fantasy->addObservation(problem_.x.row(row), liar);
+      return true;
+    } catch (const NumericalError&) {
+      // Prior-only or collapsed-pivot main model: score without the
+      // remaining pending extensions rather than aborting the campaign.
+      HealthMonitor::instance().record(
+          "fantasy.extend",
+          "fantasy extension failed; scoring without pending points");
+      return false;
+    }
+  };
   const auto rebuildFantasy = [&] {
     fantasy = gp;
-    for (const auto& p : pending) {
-      try {
-        fantasy.addObservation(problem_.x.row(p.row), p.liar);
-      } catch (const NumericalError&) {
-        // Prior-only or collapsed-pivot main model: score without the
-        // remaining pending extensions rather than aborting the campaign.
-        HealthMonitor::instance().record(
-            "fantasy.extend",
-            "fantasy extension failed; scoring without pending points");
-        break;
-      }
-    }
     fantasyStale = false;
-  };
-
-  // (Re)fits the main GP lazily — only when committed data arrived since
-  // the last fit and another pick is about to be selected. `s` is the
-  // submit index of that pick (== its eventual IterationRecord::iteration),
-  // so the hyperparameter-refit cadence generalizes the synchronous
-  // `iteration % refitEvery` rule and coincides with it at maxInFlight=1.
-  const auto ensureFitted = [&](std::size_t s) {
-    if (!gpCurrent) {
-      if (config_.dynamicNoiseBound) {
-        const double lo = std::max(
-            baseNoiseLo,
-            1.0 / std::sqrt(static_cast<double>(state.train.size())));
-        gp.config().noise.lo = std::min(lo, gp.config().noise.hi);
-      }
-      mainHealthy = engine.fitWithFallback(
-          (s % static_cast<std::size_t>(config_.refitEvery)) == 0);
-      gpCurrent = true;
-      fantasyStale = true;
-      if (mainHealthy)
-        consecutiveDegraded = 0;
-      else
-        ++consecutiveDegraded;
-    }
-    if (fantasyStale) rebuildFantasy();
+    for (const auto& step : pending)
+      for (std::size_t i = 0; i < step.rows.size(); ++i)
+        if (!extendFantasy(step.rows[i], step.liars[i])) return;
   };
 
   const auto loopStart = std::chrono::steady_clock::now();
   std::optional<StopReason> stop;
   while (true) {
-    // SUBMIT phase: keep the pipeline full while no stop condition holds.
-    // Gates mirror the synchronous loop's order and semantics, evaluated
-    // on *committed* state (maxIterations additionally counts in-flight
-    // picks so the pipeline never overshoots the iteration budget; the
-    // cost budget can overshoot by what was in flight when it tripped —
-    // a real scheduler cannot un-submit a running job).
+    // SELECT phase: keep the pipeline full while no stop condition holds.
+    // Gates are evaluated on *committed* state (maxIterations additionally
+    // counts in-flight steps so the pipeline never overshoots the
+    // iteration budget; the cost budget can overshoot by what was in
+    // flight when it tripped — a real scheduler cannot un-submit a
+    // running job). At width 1 nothing is in flight here, so each pick
+    // commits before the next one is selected.
     if (!stop && !dispatcher.full()) {
       const std::size_t s =
           static_cast<std::size_t>(state.iteration) + pending.size();
+      // Ambient iteration for fault predicates and health-incident stamps.
       FaultContext::setIteration(static_cast<int>(s));
       trace::Span iterSpan("al.iteration");
       iterSpan.note("iter", s)
@@ -802,13 +466,12 @@ AlResult ActiveLearner::runLoopAsync(Checkpoint state, const Oracle* oracle,
         stop = StopReason::Budget;
         continue;
       }
-      if (config_.amsdWindow > 0 && config_.amsdRelTol > 0.0 &&
-          state.history.size() >
-              static_cast<std::size_t>(config_.amsdWindow)) {
+      const auto window = static_cast<std::size_t>(config_.amsdWindow);
+      if (window > 0 && config_.amsdRelTol > 0.0 &&
+          state.history.size() > window) {
         bool converged = true;
         const auto& h = state.history;
-        for (std::size_t i = h.size() - config_.amsdWindow; i < h.size();
-             ++i) {
+        for (std::size_t i = h.size() - window; i < h.size(); ++i) {
           const double prev = h[i - 1].amsd;
           if (prev <= 0.0 ||
               std::abs(h[i].amsd - prev) / prev > config_.amsdRelTol) {
@@ -822,16 +485,40 @@ AlResult ActiveLearner::runLoopAsync(Checkpoint state, const Oracle* oracle,
         }
       }
 
-      ensureFitted(s);
+      // Fit the main GP when data was committed since the last fit, or
+      // whenever nothing is in flight (as after a quarantined pick). `s`
+      // is this step's eventual IterationRecord::iteration, so the
+      // hyperparameter-refit cadence is the paper's `iteration %
+      // refitEvery` rule at width 1.
+      if (!gpCurrent || pending.empty()) {
+        if (config_.dynamicNoiseBound) {
+          const double lo = std::max(
+              baseNoiseLo,
+              1.0 / std::sqrt(static_cast<double>(state.train.size())));
+          gp.config().noise.lo = std::min(lo, gp.config().noise.hi);
+        }
+        if (engine.fitWithFallback(
+                (s % static_cast<std::size_t>(config_.refitEvery)) == 0)) {
+          consecutiveDegraded = 0;
+        } else {
+          ++consecutiveDegraded;
+        }
+        gpCurrent = true;
+        fantasyStale = true;
+      }
+      // Prior-only rung: the campaign may continue briefly (a later refit
+      // can recover), but a persistently blind model must stop.
       if (consecutiveDegraded > config_.maxConsecutiveDegraded) {
         HealthMonitor::instance().record(
             "model.unhealthy", "consecutive degraded-fit limit exceeded");
         stop = StopReason::ModelUnhealthy;
         continue;
       }
+      if (!pending.empty() && fantasyStale) rebuildFantasy();
+      const gp::GaussianProcess& model = pending.empty() ? gp : *fantasy;
 
-      // Score the remaining pool and the test set against the fantasy
-      // posterior (== the main posterior when nothing is in flight).
+      // Progress metrics over the remaining pool and the test set, against
+      // the fantasy posterior while picks are pending.
       gp::Prediction poolPred;
       la::Vector poolSd;
       double amsd = 0.0;
@@ -841,99 +528,124 @@ AlResult ActiveLearner::runLoopAsync(Checkpoint state, const Oracle* oracle,
         scoreSpan.note("pool", state.pool.size())
             .note("test", state.partition.test.size())
             .note("inflight", pending.size());
+        // Pool scoring through the campaign cache when it can serve (the
+        // gathered poolX matrix is then never materialized); direct batch
+        // predict otherwise. Both produce bitwise the same Prediction.
         const bool served =
             config_.poolPredictCache &&
-            poolCache.predict(fantasy, state.pool, false, poolPred);
+            poolCache.predict(model, state.pool, false, poolPred);
         if (!served) {
           la::Matrix poolX(state.pool.size(), problem_.dim());
           for (std::size_t i = 0; i < state.pool.size(); ++i) {
             const auto row = problem_.x.row(state.pool[i]);
             std::copy(row.begin(), row.end(), poolX.row(i).begin());
           }
-          poolPred = fantasy.predict(poolX, false, poolWs);
+          poolPred = model.predict(poolX, false, poolWs);
         }
         poolSd = poolPred.stdDev();
         amsd = stats::mean(poolSd);
         if (!state.partition.test.empty()) {
-          const auto testPred = fantasy.predict(testX, false, testWs);
+          const auto testPred = model.predict(testX, false, testWs);
           rmse = stats::rmse(testPred.mean, testY);
         }
       }
 
-      const SelectionContext ctx{fantasy, problem_,
+      // Let the strategy pick.
+      const SelectionContext ctx{model,
+                                 problem_,
                                  std::span<const std::size_t>(state.pool),
                                  rng,
                                  config_.poolPredictCache ? &poolCache
                                                           : nullptr,
                                  pending.size()};
-      std::size_t pick = 0;
+      std::vector<std::size_t> picks;
       {
         trace::Span selectSpan("al.select");
         selectSpan.note("pool", state.pool.size())
+            .note("batch", std::min(config_.batchSize, state.pool.size()))
             .note("inflight", pending.size());
-        pick = strategy_->select(ctx);
+        if (config_.batchSize == 1) {
+          picks.push_back(strategy_->select(ctx));
+        } else {
+          picks = strategy_->selectBatch(
+              ctx, std::min(config_.batchSize, state.pool.size()));
+        }
       }
-      ALPERF_ASSERT(pick < state.pool.size(), "pick position out of range");
-      const std::size_t row = state.pool[pick];
+      ALPERF_ASSERT(!picks.empty() && picks.front() < state.pool.size(),
+                    "strategy returned no pick in range");
 
-      PendingPick p;
-      p.row = row;
-      p.liar = poolPred.mean[pick];
-      p.rec.iteration = static_cast<int>(s);
-      p.rec.chosenRow = row;
-      p.rec.sigmaAtPick = poolSd[pick];
-      p.rec.muAtPick = poolPred.mean[pick];
-      p.rec.amsd = amsd;
-      p.rec.rmse = rmse;
+      PendingStep step;
+      step.rec.iteration = static_cast<int>(s);
+      step.rec.chosenRow = state.pool[picks.front()];
+      step.rec.sigmaAtPick = poolSd[picks.front()];
+      step.rec.muAtPick = poolPred.mean[picks.front()];
+      step.rec.amsd = amsd;
+      step.rec.rmse = rmse;
       // Model-health metrics come from the main (committed-data) GP — the
       // fantasy shares its hyperparameters, but its LML would include the
       // liar observations.
-      p.rec.noiseVariance = gp.noiseVariance();
-      p.rec.lml = gp.logMarginalLikelihood();
+      step.rec.noiseVariance = gp.noiseVariance();
+      step.rec.lml = gp.logMarginalLikelihood();
 
-      dispatcher.submit(row, problem_.x.row(row));
-      try {
-        fantasy.addObservation(problem_.x.row(row), p.liar);
-      } catch (const NumericalError&) {
-        HealthMonitor::instance().record(
-            "fantasy.extend",
-            "fantasy extension failed; scoring without pending points");
+      // Take the picks out of the pool (descending positions so erasure
+      // is stable); they are measured in that order.
+      std::sort(picks.rbegin(), picks.rend());
+      for (const std::size_t pos : picks) {
+        ALPERF_ASSERT(pos < state.pool.size(), "pick position out of range");
+        step.rows.push_back(state.pool[pos]);
+        step.liars.push_back(poolPred.mean[pos]);
+        state.pool.erase(state.pool.begin() +
+                         static_cast<std::ptrdiff_t>(pos));
       }
-      pending.push_back(std::move(p));
-      state.pool.erase(state.pool.begin() +
-                       static_cast<std::ptrdiff_t>(pick));
+      dispatcher.submit(step.rows.front(),
+                        problem_.x.row(step.rows.front()));
+      pending.push_back(std::move(step));
+      // Another pick follows before the next commit only while the
+      // dispatcher has room (never at width 1): condition the fantasy on
+      // this one now.
+      if (!dispatcher.full()) {
+        if (fantasyStale)
+          rebuildFantasy();
+        else
+          extendFantasy(pending.back().rows.front(),
+                        pending.back().liars.front());
+      }
       continue;
     }
 
-    // COMMIT phase: nothing (more) to submit — retire the oldest
-    // in-flight pick. Commits happen strictly in dispatch order, so
-    // records, training-set growth and RNG consumption are deterministic
-    // at any slot count.
+    // COMMIT phase: nothing (more) to select — retire the oldest step.
+    // Commits happen strictly in dispatch order, so records, training-set
+    // growth and RNG consumption are deterministic at any slot count.
     if (pending.empty()) break;
     trace::Span commitSpan("al.commit");
-    const AsyncDispatcher::Committed committed = dispatcher.commitNext();
-    PendingPick p = std::move(pending.front());
+    PendingStep step = std::move(pending.front());
     pending.pop_front();
-    ALPERF_ASSERT(committed.row == p.row,
-                  "async commit order diverged from dispatch order");
-    commitSpan.note("iter", p.rec.iteration).note("row", p.rec.chosenRow);
-
-    IterationRecord rec = p.rec;
-    const ExecutionResult& er = committed.result;
-    rec.wastedCost = er.wastedCost;
-    if (er.quarantined) {
-      rec.failedAttempts = er.attempts;
-      state.quarantined.push_back(p.row);
-      // The fantasy conditioned on a point that never produced data.
-      fantasyStale = true;
-    } else {
-      rec.failedAttempts = er.attempts - 1;
-      rec.pickCost = er.measurement.cost;
-      if (er.measurement.status == MeasurementStatus::Censored)
-        rec.censored = 1.0;
-      state.train.push_back(p.row);
-      state.trainY.push_back(er.measurement.y);
-      gpCurrent = false;  // refit lazily before the next selection
+    IterationRecord& rec = step.rec;
+    commitSpan.note("iter", rec.iteration).note("row", rec.chosenRow);
+    for (std::size_t i = 0; i < step.rows.size(); ++i) {
+      const std::size_t row = step.rows[i];
+      // A batch step (width 1 only) measures its picks back to back.
+      if (i > 0) dispatcher.submit(row, problem_.x.row(row));
+      const AsyncDispatcher::Committed committed = dispatcher.commitNext();
+      ALPERF_ASSERT(committed.row == row,
+                    "commit order diverged from dispatch order");
+      // Quarantine on retry exhaustion, train on censored lower bounds.
+      const ExecutionResult& er = committed.result;
+      rec.wastedCost += er.wastedCost;
+      if (er.quarantined) {
+        rec.failedAttempts += er.attempts;
+        state.quarantined.push_back(row);
+        // The fantasy conditioned on a point that never produced data.
+        fantasyStale = true;
+      } else {
+        rec.failedAttempts += er.attempts - 1;
+        rec.pickCost += er.measurement.cost;
+        if (er.measurement.status == MeasurementStatus::Censored)
+          rec.censored = 1.0;
+        state.train.push_back(row);
+        state.trainY.push_back(er.measurement.y);
+        gpCurrent = false;
+      }
     }
     state.cumulativeCost += rec.pickCost + rec.wastedCost;
     rec.cumulativeCost = state.cumulativeCost;
@@ -950,18 +662,22 @@ AlResult ActiveLearner::runLoopAsync(Checkpoint state, const Oracle* oracle,
   // fault specs must not hit it, and its health incidents carry no stamp.
   FaultContext::setIteration(-1);
 
-  // Snapshot the loop state *before* the final fit consumes the RNG. The
-  // pipeline was drained above, so the checkpoint carries no in-flight
-  // state: a resumed async campaign preserves the committed prefix
-  // bit-for-bit and continues deterministically — but with a freshly
+  // Snapshot the loop state *before* the final fit consumes the RNG, so a
+  // resumed run re-enters the loop with the exact stream a straight run
+  // would have had. The pipeline was drained above, so the checkpoint
+  // carries no in-flight state: at width 1 a resume continues an
+  // uninterrupted run bit-for-bit; at width k > 1 it preserves the
+  // committed prefix and continues deterministically, but with a freshly
   // refilled pipeline, so its picks may differ from an uninterrupted
-  // run's (unlike the synchronous path's exact-continuation guarantee).
+  // run's.
   state.gpTheta = engine.lastGoodTheta;
   state.trainAtLastFit = engine.fullFitTrainCount;
   state.rngState = rng.saveState();
   state.hasRngState = true;
   result.history = state.history;
 
+  // Final model on everything consumed (fallback as in the loop: a
+  // diverged final refit must not discard the campaign).
   engine.fitWithFallback(true);
   result.finalGp = gp;
   result.checkpoint = std::move(state);

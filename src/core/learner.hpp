@@ -8,17 +8,17 @@
 /// σ_f(x) at the pick, AMSD over the remaining pool, and Test-set RMSE —
 /// plus cumulative experiment cost.
 ///
-/// Two execution paths share one loop: the classic table-driven path
-/// (responses come from the problem's y column) and the fault-tolerant
-/// path, where an Oracle (core/oracle.hpp) measures each pick and may
-/// fail or censor it (executor.hpp). Either path can be checkpointed and
-/// resumed bit-for-bit (checkpoint.hpp).
+/// One loop serves every campaign. Each pick is measured through the
+/// dispatch engine (core/dispatch.hpp): by an Oracle (core/oracle.hpp)
+/// that may fail or censor it (executor.hpp), or, on the classic
+/// table-driven path, by the problem's own y column. Either path can be
+/// checkpointed and resumed bit-for-bit (checkpoint.hpp).
 ///
-/// With AlConfig::execution.maxInFlight > 1 the loop switches to the
-/// asynchronous dispatch engine (core/dispatch.hpp): up to k measurements
-/// run concurrently while selection continues against a constant-liar
-/// fantasy posterior over the pending picks, and results are committed in
-/// deterministic dispatch order.
+/// AlConfig::execution.maxInFlight is the pipeline width. At 1 (the
+/// default) each pick commits before the next is selected. At k > 1 up
+/// to k measurements run concurrently while selection continues against
+/// a constant-liar fantasy posterior over the pending picks; results are
+/// committed in deterministic dispatch order.
 
 #include <limits>
 
@@ -88,12 +88,12 @@ struct AlConfig {
   double wallClockBudgetSec = std::numeric_limits<double>::infinity();
 
   /// Execution engine configuration: the RetryPolicy state machine plus
-  /// the async dispatch width (executor.hpp). maxInFlight = 1 (default)
-  /// keeps the synchronous loop bitwise unchanged; k > 1 runs k
-  /// measurements concurrently with pending-point fantasy selection
-  /// (core/dispatch.hpp; requires batchSize == 1). The RetryPolicy
-  /// arguments of runFallible/resumeFallible predate this field and
-  /// override `execution.retry` when used.
+  /// the dispatch width (executor.hpp). maxInFlight = 1 (default) commits
+  /// each pick before the next is selected; k > 1 runs k measurements
+  /// concurrently with pending-point fantasy selection (core/dispatch.hpp;
+  /// requires batchSize == 1). The RetryPolicy arguments of
+  /// runFallible/resumeFallible predate this field and override
+  /// `execution.retry` when used.
   ExecutionConfig execution;
 
   /// When non-empty, the loop arms the structured tracer (common/trace.hpp)
@@ -207,8 +207,12 @@ data::Table historyToTable(std::span<const IterationRecord> history);
 data::Table historyToTable(const AlResult& result);
 
 /// Inverse of historyToTable (checkpoint loading); missing fault columns
-/// are tolerated for traces archived by older versions.
-std::vector<IterationRecord> historyFromTable(const data::Table& table);
+/// are tolerated for traces archived by older versions. Iteration and
+/// ChosenRow cells that are not non-negative integers (NaN, negative,
+/// fractional) throw std::invalid_argument naming `source` (the file the
+/// table came from), the column and the 1-based row.
+std::vector<IterationRecord> historyFromTable(
+    const data::Table& table, const std::string& source = "historyFromTable");
 
 class ActiveLearner {
  public:
@@ -229,8 +233,7 @@ class ActiveLearner {
   /// charge their burned cost to the budget; points whose retries are
   /// exhausted are quarantined and never picked again; censored
   /// measurements train on their lower bound. The oracle may be row-based
-  /// or point-based (the picked row's coordinates are passed); v1
-  /// FallibleRowOracle call sites convert implicitly.
+  /// or point-based (the picked row's coordinates are passed).
   AlResult runFallible(const Oracle& oracle, const RetryPolicy& policy,
                        stats::Rng& rng) const;
   AlResult runFallibleWithPartition(const Oracle& oracle,
@@ -253,16 +256,13 @@ class ActiveLearner {
  private:
   Checkpoint initialState(const data::TriPartition& partition) const;
   void validateCheckpoint(const Checkpoint& cp) const;
+  /// The campaign loop: bounded in-flight dispatch with constant-liar
+  /// fantasy selection over pending picks; commits (and hence records,
+  /// training-set growth and RNG use) happen in deterministic dispatch
+  /// order. On any stop the pipeline is drained, so checkpoints never
+  /// carry in-flight state. A null oracle runs the table-driven path.
   AlResult runLoop(Checkpoint state, const Oracle* oracle,
                    const RetryPolicy* policy, stats::Rng& rng) const;
-  /// The asynchronous loop (execution.maxInFlight > 1): bounded in-flight
-  /// dispatch with constant-liar fantasy selection over pending picks;
-  /// commits (and hence records, training-set growth and RNG use) happen
-  /// in deterministic dispatch order. On any stop the pipeline is drained,
-  /// so checkpoints never carry in-flight state. A null oracle runs the
-  /// table-driven path through the same engine.
-  AlResult runLoopAsync(Checkpoint state, const Oracle* oracle,
-                        const ExecutionConfig& exec, stats::Rng& rng) const;
 
   RegressionProblem problem_;
   gp::GaussianProcess gpPrototype_;

@@ -3,13 +3,12 @@
 /// \file oracle.hpp
 /// Oracle API v2 — one measurement-backend handle for every AL loop.
 ///
-/// v1 exposed two bare std::function typedefs (`FallibleOracle` over
-/// design points, `FallibleRowOracle` over problem rows; executor.hpp)
-/// plus a third, infallible `double(x)` shape special-cased by the
-/// continuous loop. Each loop accepted exactly one shape, so a backend
-/// had to be re-wrapped per loop and could expose no capability beyond
-/// "call me synchronously". `al::Oracle` erases all three shapes behind
-/// one value type:
+/// v1 accepted three bare callable shapes: fallible over design points,
+/// fallible over problem rows, and an infallible `double(x)` special-cased
+/// by the continuous loop. Each loop accepted exactly one shape, so a
+/// backend had to be re-wrapped per loop and could expose no capability
+/// beyond "call me synchronously". `al::Oracle` erases all three shapes
+/// behind one value type:
 ///
 ///   - construct it from *any* callable taking `std::span<const double>`
 ///     (a design point) or `std::size_t` (a problem-row index) and
@@ -27,10 +26,9 @@
 ///     dispatch time and only parks a slot on `await`, instead of
 ///     blocking a slot for the whole measurement.
 ///
-/// Construction is implicit on purpose: every v1 call site passed a
-/// lambda or std::function where a loop parameter now reads
-/// `const Oracle&`, and the single implicit conversion keeps those call
-/// sites compiling unchanged.
+/// Construction is implicit on purpose: a loop parameter reads
+/// `const Oracle&`, and any lambda or std::function of one of the shapes
+/// above converts to it at the call site.
 
 #include <cmath>
 #include <concepts>

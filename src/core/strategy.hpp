@@ -38,13 +38,12 @@ struct SelectionContext {
   /// direct prediction, so strategies may mix paths freely (fantasy and
   /// ensemble GPs always predict directly).
   gp::PoolPredictCache* poolCache = nullptr;
-  /// Number of in-flight (submitted, uncommitted) experiments when the
-  /// asynchronous dispatch engine is selecting (ExecutionConfig::
-  /// maxInFlight > 1). ctx.gp is then the *fantasy* posterior — already
-  /// conditioned on the pending picks at their constant-liar values — so
-  /// variance-based strategies need no special handling; strategies with
-  /// their own lookahead may consult this to budget it. Always 0 on the
-  /// synchronous path.
+  /// Number of in-flight (submitted, uncommitted) experiments at
+  /// selection time. When nonzero (only at ExecutionConfig::maxInFlight >
+  /// 1), ctx.gp is the *fantasy* posterior — already conditioned on the
+  /// pending picks at their constant-liar values — so variance-based
+  /// strategies need no special handling; strategies with their own
+  /// lookahead may consult this to budget it. Always 0 at width 1.
   std::size_t numPending = 0;
 };
 

@@ -1,7 +1,7 @@
 // Asynchronous dispatch engine + Oracle API v2 tests: type erasure and
 // capability detection of al::Oracle, AsyncDispatcher's deterministic
 // commit-in-dispatch-order contract at 1/2/8 slots, the maxInFlight=1
-// routing guarantee (synchronous path, zero exec.async.* counters),
+// guarantee (measured on the loop's thread, zero exec.async.* counters),
 // pipelined campaign determinism, quarantine and chaos faults under
 // concurrent dispatch, and checkpoint/resume of an async campaign.
 // Runs under TSan in CI (suite names AsyncDispatch / OracleV2).
@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <set>
 #include <thread>
@@ -143,26 +144,48 @@ TEST(OracleV2, FallibleCallablesPassMeasurementsThrough) {
 }
 
 TEST(OracleV2, NullFunctionsAndNullptrProduceNoCapability) {
-  const al::FallibleOracle nullFn;
+  const std::function<Measurement(std::span<const double>)> nullFn;
   const al::Oracle fromNullFn = nullFn;
   EXPECT_FALSE(static_cast<bool>(fromNullFn));
+  const std::function<double(std::size_t)> nullRowFn;
+  const al::Oracle fromNullRowFn = nullRowFn;
+  EXPECT_FALSE(static_cast<bool>(fromNullRowFn));
   const al::Oracle fromNullptr = nullptr;
   EXPECT_FALSE(static_cast<bool>(fromNullptr));
   const al::Oracle empty;
   EXPECT_FALSE(static_cast<bool>(empty));
 }
 
-TEST(OracleV2, V1TypedefsConvertImplicitly) {
-  const al::FallibleOracle v1Point = [](std::span<const double> x) {
-    return Measurement::ok(x[0], 1.0);
-  };
-  const al::FallibleRowOracle v1Row = [](std::size_t r) {
+TEST(OracleV2, PlainStdFunctionsConvertImplicitly) {
+  // Every callable shape a backend may be stored as converts to the one
+  // Oracle type: point or row, fallible or infallible.
+  const std::function<Measurement(std::span<const double>)> point =
+      [](std::span<const double> x) { return Measurement::ok(x[0], 1.0); };
+  const std::function<Measurement(std::size_t)> row = [](std::size_t r) {
     return Measurement::ok(static_cast<double>(r), 1.0);
   };
-  const al::Oracle fromPoint = v1Point;
-  const al::Oracle fromRow = v1Row;
+  const std::function<double(std::span<const double>)> infalliblePoint =
+      [](std::span<const double> x) { return 3.0 * x[0]; };
+  const std::function<double(std::size_t)> infallibleRow =
+      [](std::size_t r) { return static_cast<double>(r) + 0.5; };
+
+  const al::Oracle fromPoint = point;
+  const al::Oracle fromRow = row;
+  const al::Oracle fromInfalliblePoint = infalliblePoint;
+  const al::Oracle fromInfallibleRow = infallibleRow;
   EXPECT_TRUE(fromPoint.hasPointMeasure());
+  EXPECT_FALSE(fromPoint.hasRowMeasure());
   EXPECT_TRUE(fromRow.hasRowMeasure());
+  EXPECT_FALSE(fromRow.hasPointMeasure());
+  EXPECT_TRUE(fromInfalliblePoint.hasPointMeasure());
+  EXPECT_TRUE(fromInfallibleRow.hasRowMeasure());
+
+  const double x[] = {2.0};
+  EXPECT_DOUBLE_EQ(fromPoint.measure(x).y, 2.0);
+  EXPECT_DOUBLE_EQ(fromRow.measureRow(4).y, 4.0);
+  EXPECT_DOUBLE_EQ(fromInfalliblePoint.measure(x).y, 6.0);
+  EXPECT_EQ(fromInfallibleRow.measureRow(4).status, MeasurementStatus::Ok);
+  EXPECT_DOUBLE_EQ(fromInfallibleRow.measureRow(4).y, 4.5);
 }
 
 TEST(OracleV2, AsyncCapabilityRoundTrips) {
@@ -335,10 +358,49 @@ TEST(AsyncDispatch, SingleSlotIsTheSynchronousPathBitwise) {
   expectSameHistory(baseline.history, explicitOne.history);
   EXPECT_EQ(baseline.checkpoint.trainY, explicitOne.checkpoint.trainY);
   EXPECT_EQ(baseline.finalGp.thetaFull(), explicitOne.finalGp.thetaFull());
-  // The dispatcher is never constructed at maxInFlight=1: the async
-  // engine must leave no trace in the counters.
+  // At maxInFlight=1 the dispatcher measures on the calling thread and
+  // starts no slot: the async engine must leave no trace in the counters.
   EXPECT_EQ(PerfRegistry::instance().count("exec.async.submitted"), 0u);
   EXPECT_EQ(PerfRegistry::instance().count("exec.async.committed"), 0u);
+}
+
+TEST(AsyncDispatch, WidthOneMeasuresInlineWithoutFantasy) {
+  // Width 1 is the one loop with nothing ever pending: every measurement
+  // runs on the calling thread (no slot thread), and no fantasy GP is
+  // built or extended. With every Cholesky extension failing, any
+  // fantasy extension would leave a fantasy.extend health incident.
+  const auto problem = syntheticProblem();
+  Rng partRng(42);
+  const auto partition =
+      alperf::data::triPartition(problem.size(), 3, 0.8, partRng);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> offThread{0};
+  const al::Oracle oracle = [&](std::size_t row) {
+    if (std::this_thread::get_id() != caller) ++offThread;
+    return Measurement::ok(problem.y[row], problem.cost[row]);
+  };
+  FaultGuard guard("extend.fail");
+  const auto incidents = [] {
+    return PerfRegistry::instance().count("health.fantasy.extend");
+  };
+
+  const auto before = incidents();
+  Rng rngA(7);
+  const auto width1 = makeLearner(12).runFallibleWithPartition(
+      oracle, al::RetryPolicy{}, partition, rngA);
+  EXPECT_EQ(width1.history.size(), 12u);
+  EXPECT_EQ(offThread.load(), 0);
+  EXPECT_EQ(incidents(), before);
+
+  // The same campaign at width 4 does condition fantasies on its pending
+  // picks — and measures on slot threads.
+  al::AlConfig cfg;
+  cfg.execution.maxInFlight = 4;
+  Rng rngB(7);
+  (void)makeLearner(12, cfg).runFallibleWithPartition(
+      oracle, al::RetryPolicy{}, partition, rngB);
+  EXPECT_GT(offThread.load(), 0);
+  EXPECT_GT(incidents(), before);
 }
 
 // ------------------------------------------- pipelined campaigns

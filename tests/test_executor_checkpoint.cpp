@@ -1,4 +1,4 @@
-// Fault-tolerant execution layer tests: RetryPolicy/executor accounting,
+// Fault-tolerant execution layer tests: RetryPolicy/retry accounting,
 // quarantine semantics inside the AL loop, censored-measurement routing,
 // GP fit diagnostics and refit fallback, RNG state round-trips, and the
 // golden checkpoint/resume property — a campaign interrupted half-way and
@@ -10,13 +10,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <numeric>
 #include <set>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "core/checkpoint.hpp"
 #include "core/continuous.hpp"
+#include "core/dispatch.hpp"
 #include "core/learner.hpp"
 #include "gp/kernels.hpp"
 
@@ -83,6 +86,43 @@ void expectSameHistory(const std::vector<al::IterationRecord>& a,
   }
 }
 
+/// Runs one measurement through a width-1 dispatcher (on this thread) and
+/// returns its retry-state-machine outcome.
+al::ExecutionResult executeOnce(al::AsyncDispatcher& dispatcher) {
+  const double x[] = {0.0};
+  dispatcher.submit(al::Oracle::kNoRow, x);
+  return dispatcher.commitNext().result;
+}
+
+/// Overwrites one cell of a CSV file written by saveCheckpoint: the
+/// named column of the given 1-based data row (the header is row 0).
+void setCsvCell(const std::string& path, const std::string& column,
+                std::size_t row, const std::string& value) {
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  const auto split = [](const std::string& line) {
+    std::vector<std::string> cells;
+    std::stringstream ss(line);
+    for (std::string cell; std::getline(ss, cell, ',');)
+      cells.push_back(cell);
+    return cells;
+  };
+  const auto header = split(lines.at(0));
+  const auto col = static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), column) - header.begin());
+  auto cells = split(lines.at(row));
+  cells.at(col) = value;
+  std::string joined;
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    joined += (i > 0 ? "," : "") + cells[i];
+  lines[row] = joined;
+  std::ofstream out(path);
+  for (const auto& line : lines) out << line << '\n';
+}
+
 void removeCheckpointFiles(const std::string& prefix) {
   for (const char* suffix : {".meta.csv", ".trace.csv", ".sets.csv"})
     std::remove((prefix + suffix).c_str());
@@ -123,17 +163,19 @@ TEST(RetryPolicy, BackoffGrowsExponentiallyToCap) {
 }
 
 TEST(Executor, RetriesUntilSuccessAndChargesWaste) {
-  al::RetryPolicy policy;
-  policy.maxRetries = 3;
-  policy.backoffCostBase = 1.0;
-  policy.backoffGrowth = 2.0;
-  al::ExperimentExecutor executor(policy);
+  al::ExecutionConfig exec;
+  exec.retry.maxRetries = 3;
+  exec.retry.backoffCostBase = 1.0;
+  exec.retry.backoffGrowth = 2.0;
   int calls = 0;
-  const auto result = executor.execute([&] {
-    ++calls;
-    if (calls < 3) return Measurement::failed(0.5);
-    return Measurement::ok(42.0, 3.0);
-  });
+  al::AsyncDispatcher dispatcher(
+      [&](std::span<const double>) {
+        ++calls;
+        if (calls < 3) return Measurement::failed(0.5);
+        return Measurement::ok(42.0, 3.0);
+      },
+      exec);
+  const auto result = executeOnce(dispatcher);
   EXPECT_EQ(calls, 3);
   EXPECT_FALSE(result.quarantined);
   EXPECT_EQ(result.attempts, 3);
@@ -142,39 +184,46 @@ TEST(Executor, RetriesUntilSuccessAndChargesWaste) {
   // Two failed attempts at 0.5 each, plus backoff surcharges 1 and 2.
   EXPECT_DOUBLE_EQ(result.wastedCost, 0.5 + 1.0 + 0.5 + 2.0);
   EXPECT_DOUBLE_EQ(result.totalCost(), result.wastedCost + 3.0);
-  EXPECT_DOUBLE_EQ(executor.totalWastedCost(), result.wastedCost);
-  EXPECT_EQ(executor.totalFailedAttempts(), 2);
-  EXPECT_EQ(executor.totalQuarantined(), 0);
+  EXPECT_DOUBLE_EQ(dispatcher.totalWastedCost(), result.wastedCost);
+  EXPECT_EQ(dispatcher.totalFailedAttempts(), 2);
+  EXPECT_EQ(dispatcher.totalQuarantined(), 0);
 }
 
 TEST(Executor, QuarantinesAfterExhaustingRetries) {
-  al::RetryPolicy policy;
-  policy.maxRetries = 2;
-  al::ExperimentExecutor executor(policy);
+  al::ExecutionConfig exec;
+  exec.retry.maxRetries = 2;
   int calls = 0;
-  const auto result =
-      executor.execute([&] { ++calls; return Measurement::failed(1.0); });
+  al::AsyncDispatcher dispatcher(
+      [&](std::span<const double>) {
+        ++calls;
+        return Measurement::failed(1.0);
+      },
+      exec);
+  const auto result = executeOnce(dispatcher);
   EXPECT_EQ(calls, 3);  // initial + 2 retries
   EXPECT_TRUE(result.quarantined);
   EXPECT_EQ(result.attempts, 3);
   EXPECT_DOUBLE_EQ(result.wastedCost, 3.0);
   EXPECT_DOUBLE_EQ(result.totalCost(), 3.0);  // nothing useful was bought
-  EXPECT_EQ(executor.totalQuarantined(), 1);
-  EXPECT_EQ(executor.totalFailedAttempts(), 3);
+  EXPECT_EQ(dispatcher.totalQuarantined(), 1);
+  EXPECT_EQ(dispatcher.totalFailedAttempts(), 3);
 }
 
 TEST(Executor, BackendInternalWasteJoinsTheLedger) {
-  al::ExperimentExecutor executor;
-  const auto result = executor.execute([] {
-    Measurement m = Measurement::ok(5.0, 2.0);
-    m.wastedCost = 7.0;  // e.g. the scheduler requeued twice internally
-    m.attempts = 3;
-    return m;
-  });
+  al::AsyncDispatcher dispatcher(
+      [](std::span<const double>) {
+        Measurement m = Measurement::ok(5.0, 2.0);
+        m.wastedCost = 7.0;  // e.g. the scheduler requeued twice internally
+        m.attempts = 3;
+        return m;
+      },
+      al::ExecutionConfig{});
+  const auto result = executeOnce(dispatcher);
   EXPECT_EQ(result.attempts, 3);
   EXPECT_DOUBLE_EQ(result.wastedCost, 7.0);
   EXPECT_DOUBLE_EQ(result.measurement.wastedCost, 0.0);  // moved out
-  EXPECT_EQ(executor.totalFailedAttempts(), 2);
+  EXPECT_DOUBLE_EQ(dispatcher.totalWastedCost(), 7.0);
+  EXPECT_EQ(dispatcher.totalFailedAttempts(), 2);
 }
 
 // ---------------------------------------- RNG state round-trip
@@ -254,7 +303,7 @@ TEST(FallibleLoop, QuarantinesAndChargesWithoutThrowing) {
                                                     partRng);
   // Rows ≡ 2 (mod 5) always fail; everything else measures cleanly.
   const auto alwaysFails = [](std::size_t row) { return row % 5 == 2; };
-  const al::FallibleRowOracle oracle = [&](std::size_t row) {
+  const al::Oracle oracle = [&](std::size_t row) {
     if (alwaysFails(row)) return Measurement::failed(0.5);
     return Measurement::ok(problem.y[row], problem.cost[row]);
   };
@@ -311,7 +360,7 @@ TEST(FallibleLoop, CensoredMeasurementsTrainOnLowerBound) {
   const auto partition = alperf::data::triPartition(problem.size(), 3, 0.8,
                                                     partRng);
   const auto isCensored = [](std::size_t row) { return row % 4 == 1; };
-  const al::FallibleRowOracle oracle = [&](std::size_t row) {
+  const al::Oracle oracle = [&](std::size_t row) {
     if (isCensored(row))
       return Measurement::censored(0.8 * problem.y[row], problem.cost[row]);
     return Measurement::ok(problem.y[row], problem.cost[row]);
@@ -344,7 +393,7 @@ TEST(FallibleLoop, AllRowsFailingStopsOracleExhausted) {
   Rng partRng(42);
   const auto partition =
       alperf::data::triPartition(learner.problem().size(), 3, 0.8, partRng);
-  const al::FallibleRowOracle oracle = [](std::size_t) {
+  const al::Oracle oracle = [](std::size_t) {
     return Measurement::failed(1.0);
   };
   al::RetryPolicy policy;
@@ -368,7 +417,7 @@ TEST(ContinuousFallible, ConsecutiveFailuresAbort) {
     x(i, 0) = static_cast<double>(i);
     y[i] = std::sin(static_cast<double>(i));
   }
-  const al::FallibleOracle oracle = [](std::span<const double>) {
+  const al::Oracle oracle = [](std::span<const double>) {
     return Measurement::failed(2.0);
   };
   al::RetryPolicy policy;
@@ -397,7 +446,7 @@ TEST(ContinuousFallible, HealthyOracleRunsToCompletion) {
     x(i, 0) = static_cast<double>(i);
     y[i] = std::sin(static_cast<double>(i));
   }
-  const al::FallibleOracle oracle = [](std::span<const double> q) {
+  const al::Oracle oracle = [](std::span<const double> q) {
     return Measurement::ok(std::sin(q[0]), 1.0);
   };
   al::ContinuousAlConfig cfg;
@@ -448,6 +497,54 @@ TEST(CheckpointIo, RoundTripsEveryField) {
 TEST(CheckpointIo, LoadRejectsMissingFiles) {
   EXPECT_THROW(al::loadCheckpoint("alperf_test_ckpt_does_not_exist"),
                std::exception);
+}
+
+TEST(CheckpointIo, LoadRejectsBadIndexCells) {
+  // Index cells are cast to integers on load: NaN, negative and
+  // fractional values must fail with the file, column and row named
+  // instead of being cast (undefined behaviour) or truncated.
+  const auto learner = makeLearner(6);
+  Rng rng(5);
+  const auto cp = learner.run(rng).checkpoint;
+  const std::string prefix = "alperf_test_ckpt_badindex";
+  struct Case {
+    const char* file;
+    const char* column;
+    const char* value;
+  };
+  for (const Case& c : {Case{".trace.csv", "Iteration", "nan"},
+                        Case{".trace.csv", "Iteration", "-1"},
+                        Case{".trace.csv", "Iteration", "2.5"},
+                        Case{".trace.csv", "ChosenRow", "nan"},
+                        Case{".trace.csv", "ChosenRow", "-3"},
+                        Case{".trace.csv", "ChosenRow", "1.5"},
+                        Case{".sets.csv", "Row", "-1"},
+                        Case{".sets.csv", "Row", "1.5"}}) {
+    al::saveCheckpoint(cp, prefix);
+    setCsvCell(prefix + c.file, c.column, 2, c.value);
+    try {
+      (void)al::loadCheckpoint(prefix);
+      ADD_FAILURE() << c.file << " " << c.column << "=" << c.value
+                    << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(prefix + c.file), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + c.column + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("row 2"), std::string::npos) << what;
+    }
+  }
+  // A NaN row index in the strict sets file is already refused by the CSV
+  // reader's non-finite guard.
+  al::saveCheckpoint(cp, prefix);
+  setCsvCell(prefix + ".sets.csv", "Row", 2, "nan");
+  EXPECT_THROW(al::loadCheckpoint(prefix), std::invalid_argument);
+  // A signed meta word (row 3 is the Iteration key) must not wrap around.
+  al::saveCheckpoint(cp, prefix);
+  setCsvCell(prefix + ".meta.csv", "Value", 3, "-1");
+  EXPECT_THROW(al::loadCheckpoint(prefix), std::invalid_argument);
+  removeCheckpointFiles(prefix);
 }
 
 TEST(Resume, ValidatesCheckpointAgainstProblem) {
@@ -510,7 +607,7 @@ TEST(GoldenResume, FallibleCampaignAlsoResumesBitForBit) {
   const auto partition =
       alperf::data::triPartition(problem.size(), 3, 0.8, partRng);
   // Deterministic fallible backend: some rows always fail, some censor.
-  const al::FallibleRowOracle oracle = [&](std::size_t row) {
+  const al::Oracle oracle = [&](std::size_t row) {
     if (row % 7 == 3) return Measurement::failed(0.5);
     if (row % 7 == 5)
       return Measurement::censored(0.9 * problem.y[row], problem.cost[row]);

@@ -13,6 +13,7 @@
 
 #include "cluster/scheduler.hpp"
 #include "core/continuous.hpp"
+#include "core/dispatch.hpp"
 #include "core/problem.hpp"
 #include "gp/kernels.hpp"
 
@@ -285,19 +286,24 @@ TEST(NonFiniteResponses, PlainContinuousOracleThrows) {
 
 TEST(NonFiniteResponses, ExecutorDemotesNonFiniteOkToFailed) {
   // A backend that bypasses the Measurement factories and hands back a raw
-  // "Ok" NaN must still never reach the GP: the executor demotes it.
-  al::RetryPolicy policy;
-  policy.maxRetries = 1;
-  al::ExperimentExecutor executor(policy);
+  // "Ok" NaN must still never reach the GP: the retry state machine
+  // demotes it.
+  al::ExecutionConfig exec;
+  exec.retry.maxRetries = 1;
   int calls = 0;
-  const auto result = executor.execute([&] {
-    ++calls;
-    alperf::Measurement m;  // aggregate, skipping ok()'s validation
-    m.status = alperf::MeasurementStatus::Ok;
-    m.y = std::numeric_limits<double>::quiet_NaN();
-    m.cost = 2.0;
-    return m;
-  });
+  al::AsyncDispatcher dispatcher(
+      [&](std::span<const double>) {
+        ++calls;
+        alperf::Measurement m;  // aggregate, skipping ok()'s validation
+        m.status = alperf::MeasurementStatus::Ok;
+        m.y = std::numeric_limits<double>::quiet_NaN();
+        m.cost = 2.0;
+        return m;
+      },
+      exec);
+  const double x[] = {0.0};
+  dispatcher.submit(al::Oracle::kNoRow, x);
+  const auto result = dispatcher.commitNext().result;
   EXPECT_EQ(calls, 2);  // retried once, then gave up
   EXPECT_TRUE(result.quarantined);
   EXPECT_FALSE(result.measurement.usable());
